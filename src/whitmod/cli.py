@@ -118,8 +118,12 @@ def _entries(text):
 
 
 def _truncation(args):
-    return Truncation(cap=_pair(args.cap), entries=_entries(args.entries),
-                      kmax=args.kmax, rmax=args.rmax, lmax=args.lmax)
+    cap, entries = _pair(args.cap), _entries(args.entries)
+    try:
+        return Truncation(cap=cap, entries=entries,
+                          kmax=args.kmax, rmax=args.rmax, lmax=args.lmax)
+    except ValueError as e:
+        raise ParseError(str(e), 0, ())
 
 
 def _emit(args, text_value, json_value):

@@ -50,7 +50,8 @@ class Scalar:
 
     @staticmethod
     def rational(p, q=1) -> "Scalar":
-        return Scalar({(0, 0, 0): Fraction(p, q)})
+        c = Fraction(p, q)
+        return _raw({(0, 0, 0): c} if c else {})
 
     @staticmethod
     def generator(j: int) -> "Scalar":

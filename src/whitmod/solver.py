@@ -126,6 +126,7 @@ class Truncation:
             )
         self.cap = cap
         self.entries = tuple(pool)
+        self._pool = frozenset(pool)
         self.kmax = kmax
         self.rmax = rmax
         self.lmax = lmax
@@ -175,7 +176,7 @@ class Truncation:
     def contains(self, mono: BasisMonomial) -> bool:
         if mono.k > self.kmax or mono.r > self.rmax:
             return False
-        pool = set(self.entries)
+        pool = self._pool
         for e in tuple(mono.lam) + tuple(mono.mu):
             if e not in pool:
                 return False
@@ -185,7 +186,7 @@ class Truncation:
         return weight_cmp(total, self.cap) <= 0
 
     def contains_vector(self, v: ModuleVector) -> bool:
-        return all(self.contains(mono) for mono, _ in v.terms())
+        return all(self.contains(mono) for mono in v._terms)
 
     def induced_box(self):
         """Positive weights large enough to refute any non-Whittaker slice vector.
@@ -558,7 +559,7 @@ def _slice_span(seeds, trunc: Truncation, spec: PsiSpec):
 
     def insert(vec: ModuleVector):
         """Gaussian rank probe; returns the reduced row if vec was new."""
-        row = {index[m]: c.as_fraction() for m, c in vec.terms()}
+        row = {index[m]: c.as_fraction() for m, c in vec._terms.items()}
         while row:
             lead = min(row)
             prow = echelon.get(lead)

@@ -6,18 +6,28 @@ by mu, k copies of h2 = d_2(0,0) and r copies of z = d_1(0,0), applied to
 the cyclic vector w.  A ModuleVector is a finite Scalar-combination of
 those.
 
-act straightens an arbitrary word into this basis.  A word is a tuple of
+act straightens into this basis by PBW left-multiplication (de Graaf,
+Lie Algebras: Theory and Algorithms, 2000).  A word is a tuple of
 (i, alpha) factors; the canonical position order is
 
     d_1-negatives (weights non-increasing), d_2-negatives (same),
     h2 factors, z factors, positive factors,
 
-and any positive factor that reaches the rightmost slot acts on w through
-the type homomorphism.  Each rewrite either swaps one adjacent inversion
-(adding bracket terms one factor shorter) or consumes a rightmost positive
-factor, so the pair (factor count, inversion count) drops lexicographically
-at every step; the engine checks that on every push and refuses to
-continue if it ever fails.
+and a basis word is a sorted word without positive factors.  One factor
+x times a basis word m is computed recursively:
+
+    x . w        = psi(x) w if x is positive, else the word (x)
+    x . (f rest) = (x f rest)                    if x <= f,
+                 = f . (x . rest) + [x, f] . rest otherwise.
+
+x . rest and [x, f] . rest are one factor shorter.  The only call on a
+word as long as its parent's is f . w2 with w2 a full-length result of
+x . rest, and that call must be an immediate prepend (f <= w2[0]); the
+engine checks that in O(1) and raises NonDescent if it ever fails, so the
+total factor count drops at every other call and the recursion ends.
+straighten_word applies the factors of a word right to left through the
+same recursion; the action on a basis monomial is cached per
+(i, alpha, monomial, type) in _act_basis, and nothing below it is cached.
 """
 
 from __future__ import annotations
@@ -32,7 +42,6 @@ from .liecore import (
     _generator_psi,
     d,
     is_positive,
-    weight_add,
     weight_neg,
 )
 from .orders import EMPTY, Partition, Triple, triple_max, triple_prec
@@ -43,7 +52,7 @@ class ZeroVector(ValueError):
 
 
 class NonDescent(RuntimeError):
-    """A rewrite failed to shrink its termination measure; engine bug guard."""
+    """Straightening failed to descend or left a positive factor; engine bug guard."""
 
 
 class BasisMonomial(NamedTuple):
@@ -249,7 +258,7 @@ def _factor_class(factor) -> int:
 
 
 def _factor_cmp(f, g) -> int:
-    """Canonical position comparison; > 0 on an adjacent pair is an inversion."""
+    """Canonical position comparison; > 0 when f belongs to the right of g."""
     cf, cg = _factor_class(f), _factor_class(g)
     if cf != cg:
         return -1 if cf < cg else 1
@@ -262,29 +271,16 @@ def _factor_cmp(f, g) -> int:
     return 0
 
 
-def _inversions(word) -> int:
-    count = 0
-    for p in range(len(word)):
-        for q in range(p + 1, len(word)):
-            if _factor_cmp(word[p], word[q]) > 0:
-                count += 1
-    return count
-
-
-def _measure(word):
-    return (len(word), _inversions(word))
-
-
 def _factor_bracket(f, g):
-    """[d_i(a), d_j(b)] as a list of (int coefficient, factor)."""
+    """[d_i(a), d_j(b)] as a list of (Scalar coefficient, factor)."""
     i, a = f
     j, b = g
-    s = weight_add(a, b)
+    s = (a[0] + b[0], a[1] + b[1])
     out = {}
     for idx, scale in ((j, b[i - 1]), (i, -a[j - 1])):
         if scale:
             out[(idx, s)] = out.get((idx, s), 0) + scale
-    return [(c, fac) for fac, c in out.items() if c]
+    return [(Scalar.rational(c), fac) for fac, c in out.items() if c]
 
 
 def _monomial_of_sorted(word) -> BasisMonomial:
@@ -304,43 +300,75 @@ def _monomial_of_sorted(word) -> BasisMonomial:
     return BasisMonomial(Partition(lam), Partition(mu), k, r)
 
 
-def _push(stack, parent_measure, coeff, word):
-    if _measure(word) >= parent_measure:
-        raise NonDescent("rewrite did not shrink (factors, inversions) at %r" % (word,))
-    stack.append((coeff, word))
+def _add(out: dict, key, c: Scalar):
+    """out[key] += c for a nonzero c, dropping the key when the sum is zero."""
+    tot = out.get(key)
+    if tot is None:
+        out[key] = c
+    else:
+        tot = tot + c
+        if tot:
+            out[key] = tot
+        else:
+            del out[key]
+
+
+def _mul(a: Scalar, b: Scalar) -> Scalar:
+    """a * b, skipping the product when either factor is ONE."""
+    if a is ONE:
+        return b
+    if b is ONE:
+        return a
+    return a * b
+
+
+def _times(x, word, coeff: Scalar, psi: PsiSpec, out: dict):
+    """Add coeff * (x . word w) to out, a dict from basis words to Scalars."""
+    if not word:
+        if _factor_class(x) == _POS:
+            value = _generator_psi(x[0], x[1], psi)
+            if value:
+                _add(out, (), _mul(coeff, value))
+        else:
+            _add(out, (x,), coeff)
+        return
+    f = word[0]
+    if _factor_cmp(x, f) <= 0:
+        _add(out, (x,) + word, coeff)
+        return
+    rest = word[1:]
+    moved = {}
+    _times(x, rest, ONE, psi, moved)
+    for w2, c in moved.items():
+        c = _mul(coeff, c)
+        if len(w2) < len(word):
+            _times(f, w2, c, psi, out)
+        elif _factor_cmp(f, w2[0]) <= 0:
+            _add(out, (f,) + w2, c)
+        else:
+            raise NonDescent("%r . %r does not prepend after moving %r" % (f, w2, x))
+    for cb, g in _factor_bracket(x, f):
+        _times(g, rest, _mul(coeff, cb), psi, out)
+
+
+def _vector_of_words(words: dict) -> ModuleVector:
+    return _raw_vector({_monomial_of_sorted(wd): c for wd, c in words.items()})
 
 
 def straighten_word(word, psi: PsiSpec = SYMBOLIC) -> ModuleVector:
-    """Normal-order a word of (i, alpha) factors applied to w."""
+    """Normal-order a word of (i, alpha) factors applied to w.
+
+    The factors act right to left, each by PBW left-multiplication on
+    the basis words produced so far (see the module docstring).
+    """
     word = tuple((int(i), (int(a[0]), int(a[1]))) for i, a in word)
-    out = {}
-    stack = [(ONE, word)]
-    while stack:
-        coeff, wd = stack.pop()
-        m0 = _measure(wd)
-        pos = None
-        for p in range(len(wd) - 1):
-            if _factor_cmp(wd[p], wd[p + 1]) > 0:
-                pos = p
-                break
-        if pos is None:
-            if wd and _factor_class(wd[-1]) == _POS:
-                value = _generator_psi(wd[-1][0], wd[-1][1], psi)
-                if value:
-                    _push(stack, m0, coeff * value, wd[:-1])
-                continue
-            mono = _monomial_of_sorted(wd)
-            tot = out.get(mono, ZERO) + coeff
-            if tot:
-                out[mono] = tot
-            elif mono in out:
-                del out[mono]
-            continue
-        a, b = wd[pos], wd[pos + 1]
-        _push(stack, m0, coeff, wd[:pos] + (b, a) + wd[pos + 2 :])
-        for cb, factor in _factor_bracket(a, b):
-            _push(stack, m0, coeff * cb, wd[:pos] + (factor,) + wd[pos + 2 :])
-    return _raw_vector(out)
+    words = {(): ONE}
+    for x in reversed(word):
+        product = {}
+        for wd, c in words.items():
+            _times(x, wd, c, psi, product)
+        words = product
+    return _vector_of_words(words)
 
 
 def _monomial_word(mono: BasisMonomial):
@@ -353,18 +381,24 @@ def _monomial_word(mono: BasisMonomial):
 
 @functools.lru_cache(maxsize=None)
 def _act_basis(i: int, alpha: Weight, mono: BasisMonomial, psi: PsiSpec) -> ModuleVector:
-    return straighten_word(((i, alpha),) + _monomial_word(mono), psi)
+    out = {}
+    _times((i, alpha), _monomial_word(mono), ONE, psi, out)
+    return _vector_of_words(out)
 
 
 def act(x: LieElt, v: ModuleVector, psi: PsiSpec = SYMBOLIC) -> ModuleVector:
     """Action of a Lie element on a module vector, fully straightened."""
     if x.n != 2:
         raise ValueError("the module is defined over the rank-two algebra")
-    out = ModuleVector()
-    for i, alpha, cx in x.terms():
-        for mono, cv in v.terms():
-            out = out + (cx * cv) * _act_basis(i, alpha, mono, psi)
-    return out
+    out = {}
+    for (i, alpha), cx in x._terms.items():
+        if cx == ONE:
+            cx = ONE  # lets _mul skip the products below
+        for mono, cv in v._terms.items():
+            c = _mul(cx, cv)
+            for m, cm in _act_basis(i, alpha, mono, psi)._terms.items():
+                _add(out, m, _mul(c, cm))
+    return _raw_vector(out)
 
 
 def act_word(word, v: ModuleVector, psi: PsiSpec = SYMBOLIC) -> ModuleVector:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from whitmod.cli import main
 from whitmod.coeff import PsiSpec, Scalar, ZPoly
 from whitmod.liecore import LieElt, bracket, d
@@ -180,3 +182,28 @@ def test_psi_env_fallback(capsys, monkeypatch):
     code, out, _ = run(capsys, "act", "d2(0,1)", "w", "--psi", "1,1,1")
     assert code == 0
     assert parse_vector(out.strip()) == w_vector()
+
+
+BAD_SLICE_FLAGS = {
+    # a cap with a positive first component needs --lmax
+    "wvectors-cap-without-lmax": ["wvectors", "--cap", "1,0", "--entries", "0,1",
+                                  "--kmax", "1", "--rmax", "1", "--psi", "1,2,3"],
+    "ideal-cap-without-lmax": ["ideal", "w", "--cap", "1,0", "--entries", "0,1",
+                               "--kmax", "1", "--rmax", "1", "--psi", "1,2,3"],
+    "negative-kmax": ["wvectors", "--cap", "0,2", "--entries", "0,1", "--kmax", "-1",
+                      "--rmax", "1", "--psi", "1,2,3"],
+    "negative-lmax": ["wvectors", "--cap", "0,2", "--entries", "0,1", "--kmax", "1",
+                      "--rmax", "1", "--lmax", "-1", "--psi", "1,2,3"],
+    "nonpositive-entry": ["wvectors", "--cap", "0,2", "--entries", "0,-1", "--kmax", "1",
+                          "--rmax", "1", "--psi", "1,2,3"],
+    "negative-cap": ["wvectors", "--cap=-1,0", "--entries", "0,1", "--kmax", "1",
+                     "--rmax", "1", "--psi", "1,2,3"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_SLICE_FLAGS.values(), ids=BAD_SLICE_FLAGS.keys())
+def test_bad_slice_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1

@@ -1,13 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from whitmod.coeff import SYMBOLIC, PsiSpec, Scalar, ZPoly
-from whitmod.liecore import bracket, d
+from whitmod import wmod
+from whitmod.cli import main
+from whitmod.coeff import ONE, SYMBOLIC, PsiSpec, Scalar, ZPoly
+from whitmod.liecore import bracket, d, psi_eval
 from whitmod.orders import EMPTY, Partition, Triple, triple_prec
 from whitmod.wmod import (
     BasisMonomial,
     ModuleVector,
+    NonDescent,
     ZeroVector,
     act,
     act_word,
@@ -21,6 +26,76 @@ from whitmod.wmod import (
 
 S1, S2, S3 = (Scalar.generator(j) for j in (1, 2, 3))
 PSI123 = PsiSpec.of(1, 2, 3)
+
+# Factors with positive, zero, negative and mixed-sign weights.
+FACTOR_POOL = [
+    (i, a)
+    for i in (1, 2)
+    for a in ((1, -2), (2, 1), (-1, 1), (1, -1), (0, 2), (0, 1), (0, 0), (0, -1), (-1, 0))
+]
+factors = st.sampled_from(FACTOR_POOL)
+words = st.lists(factors, max_size=5)
+types = st.sampled_from([SYMBOLIC, PSI123, PsiSpec.of(-1, 3, 2)])
+# derandomized, so that every run checks the same examples
+deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=500)
+
+
+# Test-only reference for the straightening engine: a stack rewriter
+# that swaps the first adjacent inversion of a word, paying the bracket,
+# or lets a rightmost positive factor act on w through the type, and
+# asserts that (factor count, inversion count) drops at every rewrite.
+# It shares no straightening code with the engine: brackets come from
+# liecore.bracket, type values from psi_eval and the position order from
+# _ref_position.
+
+
+def _ref_position(factor):
+    i, alpha = factor
+    if alpha > (0, 0):
+        return (4,)
+    if alpha == (0, 0):
+        return (3,) if i == 1 else (2,)
+    # negatives sit first, d1 before d2, weights non-increasing
+    return (i - 1, tuple(-a for a in alpha))
+
+
+def _ref_inversions(word):
+    keys = [_ref_position(f) for f in word]
+    return sum(1 for p in range(len(keys)) for q in range(p + 1, len(keys)) if keys[p] > keys[q])
+
+
+def _ref_basis_vector(word, coeff):
+    lam = [tuple(-a for a in alpha) for i, alpha in word if alpha < (0, 0) and i == 1]
+    mu = [tuple(-a for a in alpha) for i, alpha in word if alpha < (0, 0) and i == 2]
+    k = word.count((2, (0, 0)))
+    r = word.count((1, (0, 0)))
+    assert len(lam) + len(mu) + k + r == len(word), word
+    return basis_vector(lam, mu, k, r, coeff)
+
+
+def reference_straighten(word, psi=SYMBOLIC):
+    out = ModuleVector()
+    stack = [(ONE, tuple(word))]
+    while stack:
+        coeff, wd = stack.pop()
+        measure = (len(wd), _ref_inversions(wd))
+        pos = next((p for p in range(len(wd) - 1)
+                    if _ref_position(wd[p]) > _ref_position(wd[p + 1])), None)
+        if pos is not None:
+            a, b = wd[pos], wd[pos + 1]
+            children = [(coeff, wd[:pos] + (b, a) + wd[pos + 2:])]
+            children += [(coeff * c, wd[:pos] + ((i, g),) + wd[pos + 2:])
+                         for i, g, c in bracket(d(*a), d(*b)).terms()]
+        elif wd and wd[-1][1] > (0, 0):
+            value = psi_eval(d(*wd[-1]), psi)
+            children = [(coeff * value, wd[:-1])] if value else []
+        else:
+            out = out + _ref_basis_vector(wd, coeff)
+            continue
+        for child in children:
+            assert (len(child[1]), _ref_inversions(child[1])) < measure, (wd, child)
+            stack.append(child)
+    return out
 
 
 def test_basis_vector_shape():
@@ -97,16 +172,35 @@ def test_act_is_linear():
     assert act(x, v) == act(x, basis_vector([(0, 1)])) + 2 * act(x, w_vector())
 
 
-def test_action_respects_bracket():
-    rng = random.Random(0xACE)
-    pool = [(1, (0, 1)), (2, (0, 2)), (1, (-1, 0)), (2, (0, -1)), (1, (0, 0)), (2, (0, 0)), (2, (1, -1))]
-    for _ in range(30):
-        (i, a), (j, b) = rng.sample(pool, 2)
-        word = [rng.choice(pool) for _ in range(rng.randint(0, 2))]
-        v = act_word(word, w_vector())
-        x, y = d(i, a), d(j, b)
-        lhs = act(x, act(y, v)) - act(y, act(x, v))
-        assert lhs == act(bracket(x, y), v), (i, a, j, b, word)
+@deterministic
+@given(factors, factors, words, types)
+def test_action_respects_bracket(x, y, word, psi):
+    v = act_word(word, w_vector(), psi)
+    x, y = d(*x), d(*y)
+    lhs = act(x, act(y, v, psi), psi) - act(y, act(x, v, psi), psi)
+    assert lhs == act(bracket(x, y), v, psi)
+
+
+@deterministic
+@given(words, types)
+def test_straightening_matches_reference(word, psi):
+    expected = reference_straighten(word, psi)
+    assert straighten_word(word, psi) == expected
+    assert act_word(word, w_vector(), psi) == expected
+
+
+def test_descent_guard(monkeypatch, capsys):
+    # an order that inverts every pair of distinct factors leaves the
+    # recursion no prepend to end on
+    monkeypatch.setattr(wmod, "_factor_cmp", lambda f, g: 0 if f == g else 1)
+    wmod._act_basis.cache_clear()
+    try:
+        with pytest.raises(NonDescent):
+            act(d(1, (0, -1)), basis_vector(mu=[(0, 1)]))
+        assert main(["nf", "d1(0,-1) d2(0,-1) w"]) == 4
+        assert "internal invariant violation" in capsys.readouterr().err
+    finally:
+        wmod._act_basis.cache_clear()
 
 
 def test_act_word_order():
