@@ -23,10 +23,3 @@ for values in [(1, 1, 1), (2, 3, 5), (1, -1, 7)]:
     print("psi = %s  (%.2fs): %d Whittaker vectors" % (values, dt, len(space)))
     for v in space:
         print("  %s" % v)
-
-# The thread count changes nothing but the wall clock; the column merge
-# is deterministic.
-spec = PsiSpec.of(1, 2, 3)
-assert whittaker_space(trunc, spec) == whittaker_space(trunc, spec, threads=4)
-print()
-print("threads=4 reproduces threads=1 exactly")

@@ -173,7 +173,7 @@ def _cmd_nf(args):
 def _cmd_wvectors(args):
     psi = _psi_of(args)
     trunc = _truncation(args)
-    space = whittaker_space(trunc, psi, threads=args.threads)
+    space = whittaker_space(trunc, psi)
     if args.format == "json":
         print(json.dumps({"truncation": trunc.to_json(),
                           "size": len(space),
@@ -186,6 +186,8 @@ def _cmd_wvectors(args):
 
 
 def _cmd_reduce(args):
+    if args.max_steps < 1:
+        raise ParseError("--max-steps must be at least 1, got %d" % args.max_steps, 0, ())
     psi = _psi_of(args)
     v = _vector_arg(args.vector, psi)
     poly, transcript = reduce_to_whittaker(v, psi, max_steps=args.max_steps)
@@ -274,9 +276,6 @@ def _add_common(sp):
     sp.add_argument("--psi", default=None,
                     help="type values p1,p2,p3 (rationals) or 'symbolic'; "
                          "falls back to the WHIT_PSI environment variable")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads for slice assembly; the output "
-                         "is identical for every value")
 
 
 def _add_truncation_flags(sp):
@@ -321,7 +320,8 @@ def build_parser():
 
     sp = sub.add_parser("reduce", help="reduce a vector to a z-polynomial times w")
     sp.add_argument("vector")
-    sp.add_argument("--max-steps", type=int, default=10000)
+    sp.add_argument("--max-steps", type=int, default=10000,
+                    help="step cap, at least 1 (default 10000)")
     _add_common(sp)
     sp.set_defaults(func=_cmd_reduce)
 
@@ -361,9 +361,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_PARSE
     try:
         return args.func(args)
     except ParseError as e:

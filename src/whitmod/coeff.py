@@ -274,7 +274,7 @@ class PsiSpec:
     assumes a nonsingular type.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_hash")
 
     def __init__(self, values=None):
         if values is not None:
@@ -284,6 +284,8 @@ class PsiSpec:
             if any(v == 0 for v in values):
                 raise SingularPsi("type values must all be nonzero, got %s" % (values,))
         object.__setattr__(self, "values", values)
+        # every act-cache lookup hashes the type, so hash the values once
+        object.__setattr__(self, "_hash", hash(("PsiSpec", values)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PsiSpec is immutable")
@@ -311,7 +313,7 @@ class PsiSpec:
         return self.values == other.values
 
     def __hash__(self):
-        return hash(("PsiSpec", self.values))
+        return self._hash
 
     def __str__(self):
         if self.values is None:

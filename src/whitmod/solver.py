@@ -234,60 +234,81 @@ class Truncation:
 # exact linear algebra
 
 
-def _rref_nullspace(rows, ncols):
-    """Nullspace basis of a sparse rational matrix.
+class _SparseEchelon:
+    """Sparse rational rows in echelon form, one per pivot column.
 
-    Rows are dicts column->Fraction; returns one dict per free column,
-    normalized so the free coordinate is 1.
+    Rows are dicts column->Fraction.  Every held row is normalized to 1
+    at its pivot, which is its smallest column.
     """
-    pivots = {}
-    for row in rows:
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        self.pivots = {}
+
+    def insert(self, row):
+        """Reduce row against the pivots.
+
+        Returns the normalized new pivot row, or None if row depends on
+        the rows already held.  The argument is left unchanged.
+        """
+        pivots = self.pivots
         row = dict(row)
         while row:
             lead = min(row)
             prow = pivots.get(lead)
             if prow is None:
                 inv = Fraction(1) / row[lead]
-                pivots[lead] = {c: v * inv for c, v in row.items()}
-                break
+                row = {c: v * inv for c, v in row.items()}
+                pivots[lead] = row
+                return row
             f = row.pop(lead)
             for c, v in prow.items():
                 if c == lead:
                     continue
-                nv = row.get(c, Fraction(0)) - f * v
+                nv = row.get(c, 0) - f * v
                 if nv:
                     row[c] = nv
                 else:
                     row.pop(c, None)
-    # back substitution: clear pivot columns from earlier rows
-    for lead in sorted(pivots, reverse=True):
-        prow = pivots[lead]
-        for other, orow in pivots.items():
-            if other >= lead or lead not in orow:
-                continue
-            f = orow.pop(lead)
-            for c, v in prow.items():
-                if c == lead:
+        return None
+
+    def nullspace(self, ncols):
+        """Basis of the nullspace over columns 0..ncols-1.
+
+        One dict per free column, normalized so the free coordinate is 1.
+        Back substitution reduces the held rows in place, so this is the
+        last call on the echelon.
+        """
+        pivots = self.pivots
+        for lead in sorted(pivots, reverse=True):
+            prow = pivots[lead]
+            for other, orow in pivots.items():
+                if other >= lead or lead not in orow:
                     continue
-                nv = orow.get(c, Fraction(0)) - f * v
-                if nv:
-                    orow[c] = nv
-                else:
-                    orow.pop(c, None)
-    basis = []
-    for col in range(ncols):
-        if col in pivots:
-            continue
-        vec = {col: Fraction(1)}
-        for lead, prow in pivots.items():
-            v = prow.get(col)
-            if v:
-                vec[lead] = -v
-        basis.append(vec)
-    return basis
+                f = orow.pop(lead)
+                for c, v in prow.items():
+                    if c == lead:
+                        continue
+                    nv = orow.get(c, 0) - f * v
+                    if nv:
+                        orow[c] = nv
+                    else:
+                        orow.pop(c, None)
+        basis = []
+        for col in range(ncols):
+            if col in pivots:
+                continue
+            vec = {col: Fraction(1)}
+            for lead, prow in pivots.items():
+                v = prow.get(col)
+                if v:
+                    vec[lead] = -v
+            basis.append(vec)
+        return basis
 
 
-def whittaker_space(trunc: Truncation, spec: PsiSpec, threads: int = 1):
+def whittaker_space(trunc: Truncation, spec: PsiSpec):
     """Basis of the truncated space of vectors on which every positive
     generator acts by its type value.
 
@@ -297,40 +318,37 @@ def whittaker_space(trunc: Truncation, spec: PsiSpec, threads: int = 1):
     contains the pure z-polynomial vectors z^r w; containing nothing
     else is the desk-scale content of the classification.
 
-    ``threads`` splits the column assembly across worker threads; the
-    rows are merged in column order, so the result does not depend on
-    the thread count.
+    The defect rows are eliminated sparsest first (Markowitz's ordering
+    in its simplest form), which keeps fill-in low.  The reduced echelon
+    form is canonical, so the basis does not depend on the row order.
     """
     if spec.is_symbolic():
         raise SingularPsi("whittaker_space needs a specialized nonsingular type")
     monos = trunc.basis()
-    ops = [(i, alpha) for alpha in trunc.induced_box() for i in (1, 2)]
-
-    def column(j):
-        mono = monos[j]
-        v = basis_vector(mono.lam, mono.mu, mono.k, mono.r)
-        out = []
-        for i, alpha in ops:
+    ops = []
+    for alpha in trunc.induced_box():
+        for i in (1, 2):
             gen = d(i, alpha)
-            defect = act(gen, v, spec) - psi_eval(gen, spec) * v
-            for m, c in defect.terms():
-                out.append(((i, alpha, m), c.as_fraction()))
-        return out
-
+            ops.append((i, alpha, gen, psi_eval(gen, spec).as_fraction()))
+    # rows[(i, alpha, m)][j]: coefficient of m in (x - psi(x)) monos[j]
     rows = {}
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns = pool.map(column, range(len(monos)))
-            for j, col in enumerate(columns):
-                for key, q in col:
-                    rows.setdefault(key, {})[j] = q
-    else:
-        for j in range(len(monos)):
-            for key, q in column(j):
-                rows.setdefault(key, {})[j] = q
+    for j, mono in enumerate(monos):
+        v = basis_vector(mono.lam, mono.mu, mono.k, mono.r)
+        for i, alpha, gen, value in ops:
+            for m, c in act(gen, v, spec)._terms.items():
+                rows.setdefault((i, alpha, m), {})[j] = c.as_fraction()
+            if value:
+                row = rows.setdefault((i, alpha, mono), {})
+                q = row.get(j, 0) - value
+                if q:
+                    row[j] = q
+                else:
+                    del row[j]
+    echelon = _SparseEchelon()
+    for row in sorted(rows.values(), key=len):
+        echelon.insert(row)
     space = []
-    for vec in _rref_nullspace(list(rows.values()), len(monos)):
+    for vec in echelon.nullspace(len(monos)):
         terms = {}
         for col, q in vec.items():
             terms[monos[col]] = Scalar.rational(q)
@@ -555,52 +573,25 @@ def _slice_span(seeds, trunc: Truncation, spec: PsiSpec):
     ops += [d(i, (-e[0], -e[1])) for e in trunc.entries for i in (1, 2)]
     ops += [d(2, (0, 0)), d(1, (0, 0))]
 
-    echelon = {}
-
-    def insert(vec: ModuleVector):
-        """Gaussian rank probe; returns the reduced row if vec was new."""
-        row = {index[m]: c.as_fraction() for m, c in vec._terms.items()}
-        while row:
-            lead = min(row)
-            prow = echelon.get(lead)
-            if prow is None:
-                inv = Fraction(1) / row[lead]
-                row = {c: v * inv for c, v in row.items()}
-                echelon[lead] = row
-                return _raw_vector({monos[c]: Scalar.rational(v)
-                                    for c, v in row.items()})
-            f = row.pop(lead)
-            for c, v in prow.items():
-                if c == lead:
-                    continue
-                nv = row.get(c, Fraction(0)) - f * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-        return None
-
     # breadth-first over the raw operator images; they stay sparse, while
     # the echelon rows (kept only to detect new directions) fill in
+    echelon = _SparseEchelon()
     queue = []
     spanned = []
-    for s in seeds:
-        if s and trunc.contains_vector(s):
-            fresh = insert(s)
-            if fresh is not None:
-                queue.append(s)
-                spanned.append(fresh)
-    while queue:
-        cur = queue.pop()
-        for op in ops:
-            img = act(op, cur, spec)
-            if not img or not trunc.contains_vector(img):
+    candidates = seeds
+    while True:
+        for vec in candidates:
+            if not vec or not trunc.contains_vector(vec):
                 continue
-            fresh = insert(img)
-            if fresh is not None:
-                queue.append(img)
-                spanned.append(fresh)
-    return spanned
+            row = echelon.insert({index[m]: c.as_fraction() for m, c in vec._terms.items()})
+            if row is not None:
+                queue.append(vec)
+                spanned.append(_raw_vector({monos[c]: Scalar.rational(q)
+                                            for c, q in row.items()}))
+        if not queue:
+            return spanned
+        cur = queue.pop()
+        candidates = [act(op, cur, spec) for op in ops]
 
 
 def _coordinate_polys(v: ModuleVector):

@@ -71,13 +71,6 @@ def test_wvectors(capsys):
             assert mono.k == 0 and not mono.lam and not mono.mu
 
 
-def test_wvectors_threads_agree(capsys):
-    _, base, _ = run(capsys, "wvectors", *SLICE_FLAGS, "--psi", "1,2,3")
-    _, threaded, _ = run(capsys, "wvectors", *SLICE_FLAGS, "--psi", "1,2,3",
-                         "--threads", "3")
-    assert base == threaded
-
-
 def test_reduce_text_and_json(capsys):
     code, out, _ = run(capsys, "reduce", "h2 w")
     assert code == 0
@@ -151,8 +144,14 @@ def test_parse_error_exit(capsys):
     assert code == 2
     code, _, err = run(capsys, "quotient-act", "z", "w", "--a", "two")
     assert code == 2
-    code, _, err = run(capsys, "nf", "w", "--threads", "0")
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_nonpositive_step_cap_is_a_parse_error(capsys, cap):
+    code, out, err = run(capsys, "reduce", "h2 w", "--max-steps", cap)
     assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
 def test_singular_type_exit(capsys):

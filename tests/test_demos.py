@@ -1,10 +1,12 @@
-"""The quick demos print exactly what their golden files record.
+"""The demos print exactly what their golden files record.
 
 Demo 02 prints straighten_word output, so this pins the engine's text.
-Demos 03 and 05 are left out: they take many seconds and print wall times.
+Demo 03 prints its wall times as "(N.NNs)"; those are masked on both
+sides before comparing.  Demo 05 is left out: it takes many seconds.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -15,8 +17,14 @@ GOLDEN = os.path.join(ROOT, "tests", "golden")
 DEMOS = {
     "01": "01_bracket_and_decomposition.py",
     "02": "02_module_action.py",
+    "03": "03_whittaker_vectors.py",
     "04": "04_reduction_transcript.py",
 }
+WALL_TIME = re.compile(r"\(\d+\.\d\ds\)")
+
+
+def _masked(text):
+    return WALL_TIME.sub("(N.NNs)", text)
 
 
 @pytest.mark.parametrize("name", sorted(DEMOS))
@@ -26,4 +34,4 @@ def test_demo_output(name):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     with open(os.path.join(GOLDEN, "demo_%s.out" % name)) as fh:
-        assert proc.stdout == fh.read()
+        assert _masked(proc.stdout) == _masked(fh.read())

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whitmod.coeff import SYMBOLIC, PsiSpec, Scalar, SingularPsi, ZPoly
 from whitmod.liecore import d
@@ -12,6 +14,7 @@ from whitmod.solver import (
     LemmaInstance,
     ReductionTranscript,
     Truncation,
+    _SparseEchelon,
     quotient_act,
     quotient_project,
     random_instance,
@@ -82,6 +85,132 @@ def test_truncation_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
+# sparse exact elimination
+
+
+def _rref_nullspace(rows, ncols):
+    """Reference: the library's former elimination, rows in the given order."""
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = Fraction(1) / row[lead]
+                pivots[lead] = {c: v * inv for c, v in row.items()}
+                break
+            f = row.pop(lead)
+            for c, v in prow.items():
+                if c == lead:
+                    continue
+                nv = row.get(c, Fraction(0)) - f * v
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+    for lead in sorted(pivots, reverse=True):
+        prow = pivots[lead]
+        for other, orow in pivots.items():
+            if other >= lead or lead not in orow:
+                continue
+            f = orow.pop(lead)
+            for c, v in prow.items():
+                if c == lead:
+                    continue
+                nv = orow.get(c, Fraction(0)) - f * v
+                if nv:
+                    orow[c] = nv
+                else:
+                    orow.pop(c, None)
+    basis = []
+    for col in range(ncols):
+        if col in pivots:
+            continue
+        vec = {col: Fraction(1)}
+        for lead, prow in pivots.items():
+            v = prow.get(col)
+            if v:
+                vec[lead] = -v
+        basis.append(vec)
+    return basis
+
+
+def _dense_rank(rows, ncols):
+    """Rank by textbook dense elimination, independent of both sparse codes."""
+    mat = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col] / mat[rank][col]
+            mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _echelon_nullspace(rows, ncols):
+    echelon = _SparseEchelon()
+    for row in rows:
+        echelon.insert(row)
+    return echelon.nullspace(ncols)
+
+
+_entries = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(ncols, rows, shuffled rows): random rows plus zero, duplicate and
+    dependent ones, up to 30 x 15."""
+    ncols = draw(st.integers(1, 15))
+    row = st.dictionaries(st.integers(0, ncols - 1), _entries, max_size=min(ncols, 5))
+    rows = [{c: q for c, q in r.items() if q} for r in draw(st.lists(row, max_size=18))]
+    for _ in range(draw(st.integers(0, 12))):
+        if not rows:
+            rows.append({})
+            continue
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(_entries), draw(_entries)
+        comb = {c: s * a.get(c, 0) + t * b.get(c, 0) for c in set(a) | set(b)}
+        rows.append({c: q for c, q in comb.items() if q})
+    return ncols, rows, draw(st.permutations(rows))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(sparse_matrices())
+def test_sparse_echelon_matches_reference(matrix):
+    ncols, rows, shuffled = matrix
+    expected = _rref_nullspace(rows, ncols)
+    assert _echelon_nullspace(sorted(rows, key=len), ncols) == expected
+    assert _echelon_nullspace(shuffled, ncols) == expected
+    # exact certificate: a basis of the nullspace, with free coordinates 1
+    assert len(expected) == ncols - _dense_rank(rows, ncols)
+    free = [max(vec) for vec in expected]
+    assert len(set(free)) == len(free)
+    for vec, col in zip(expected, free):
+        assert vec[col] == 1
+        assert not set(vec) & (set(free) - {col})
+        for row in rows:
+            assert sum(q * vec.get(c, 0) for c, q in row.items()) == 0
+
+
+def test_sparse_echelon_insert():
+    echelon = _SparseEchelon()
+    row = {2: Fraction(3), 4: Fraction(-1)}
+    assert echelon.insert(row) == {2: Fraction(1), 4: Fraction(-1, 3)}
+    assert row == {2: Fraction(3), 4: Fraction(-1)}
+    assert echelon.insert({2: Fraction(-6), 4: Fraction(2)}) is None
+    assert echelon.insert({}) is None
+    assert echelon.insert({2: Fraction(1), 3: Fraction(1)}) == {3: Fraction(1), 4: Fraction(1, 3)}
+    assert echelon.nullspace(5) == [
+        {0: Fraction(1)}, {1: Fraction(1)}, {4: Fraction(1), 2: Fraction(1, 3), 3: Fraction(-1, 3)}]
+
+
+# ---------------------------------------------------------------------------
 # the truncated space of Whittaker vectors
 
 
@@ -92,10 +221,6 @@ def test_whittaker_space_is_the_z_line():
         assert is_whittaker(v, PSI123)
         for mono, _ in v.terms():
             assert mono.lam == EMPTY and mono.mu == EMPTY and mono.k == 0
-
-
-def test_whittaker_space_thread_count_invisible():
-    assert whittaker_space(SMALL, PSI123) == whittaker_space(SMALL, PSI123, threads=3)
 
 
 def test_whittaker_space_needs_specialized_type():
