@@ -7,7 +7,8 @@ This module bundles the computations that sit above raw straightening:
   its type value", and returns a basis of the solution space.
 * ``reduce_to_whittaker`` drives an arbitrary nonzero vector down the
   degree filtration to a plain z-polynomial times w, recording every
-  operator application in a replayable transcript.
+  operator application in a replayable transcript.  Each step applies
+  the one reduction rule of ``RULES`` whose hypotheses hold.
 * ``quotient_act`` / ``simplicity_probe`` work in the quotient where z
   acts by a fixed rational a; the probe certifies that a vector still
   generates the cyclic vector.
@@ -15,12 +16,17 @@ This module bundles the computations that sit above raw straightening:
   generated by given vectors for the monic polynomial generating its
   Whittaker ideal.
 * ``verify_lemma`` checks the filtration congruences that power the
-  reduction, rule by rule.  Rules are registered under opaque string
-  identifiers ("3.5" through "3.11.3"); these are the names the command
-  line front end accepts and are kept stable.  A few rules carry errata
-  notes where the printed coefficient of the congruence disagrees with
-  exact computation; the engine's value is authoritative and the
-  discrepancy is reported, never silently absorbed.
+  reduction, rule by rule.  ``RULES`` holds each rule once, under an
+  opaque string identifier ("3.5" through "3.11.3"); these are the
+  names the command line front end accepts and are kept stable.  Each
+  entry gives the rule's hypotheses, operator, target triple and
+  leading coefficient as functions of a ``RuleContext``, which the
+  reduction and the verification both read.  Three rules carry errata
+  notes on their printed statement; the printed coefficients of 3.11.2
+  (not evaluable) and 3.11.3 (the wrong type value) disagree with exact
+  computation, and only ``stated`` mode checks them.  The engine's
+  value is authoritative and the discrepancy is reported, never
+  silently absorbed.
 
 Everything is exact: coefficients are rationals or integer-coefficient
 polynomials in the three type values, and all comparisons are equality.
@@ -36,7 +42,6 @@ from .coeff import (
     SYMBOLIC,
     SingularPsi,
     poly_gcd,
-    ZERO,
 )
 from .liecore import (
     Weight,
@@ -63,7 +68,6 @@ from .wmod import (
     _raw_vector,
     basis_vector,
     act,
-    degree_of,
     in_filtration,
 )
 
@@ -429,62 +433,39 @@ def _measure_of(top: Triple):
     return (top.weight_sum(), k, len(mu), pos, len(lam))
 
 
-def _step_choice(v: ModuleVector):
-    """Select the congruence rule that lowers deg(v), or None when done.
+def _step_choice(ctx):
+    """The rule that lowers the degree of ctx: (ident, i, alpha, exponent).
 
-    Dispatch follows the degree triple: a positive k first, then the mu
-    part, then positive-first-component lambda entries, then the two
-    pure-lambda endgames, which are told apart by the top triple of the
-    next-lower weight level when that level is inhabited.
+    The hypotheses of the eight reduction rules exclude each other, so
+    the first that holds is the only one.  Rule 3.7 is applied k times
+    at once, every other rule once.
     """
-    top, _ = degree_of(v)
-    if top == TRIPLE_MIN:
-        return None
-    lam, mu, k = top
-    if k > 0:
-        return ("3.7", 2, TWO_EPS2, k)
-    if mu:
-        alpha = min(mu.support())
-        if alpha[0] > 0:
-            return ("3.8.1", 1, weight_add(alpha, TWO_EPS2), 1)
-        return ("3.8.2", 2, weight_add(alpha, TWO_EPS2), 1)
-    pos = lam.positive_support()
-    if pos:
-        return ("3.9", 2, weight_add(min(pos), TWO_EPS2), 1)
-    level = weight_add(top.weight_sum(), (0, -1))
-    lower = [s for s in v.support_triples() if s.weight_sum() == level]
-    alpha = min(lam.support())
-    if not lower:
-        return ("3.10", 2, weight_add(alpha, EPS2), 1)
-    xi, eta, l = triple_max(lower)
-    if l > 0:
-        return ("3.11.1", 1, EPS2, 1)
-    if eta:
-        beta = min(eta.support())
-        if beta[0] != 0:
-            # unreachable: this branch only runs when the weight level is
-            # (0, n), which forces zero first components throughout
-            raise NonDescent("lower-level mu entry %r has a positive first component" % (beta,))
-        return ("3.11.2", 1, weight_add(beta, EPS2), 1)
-    return ("3.11.3", 2, weight_add(alpha, EPS2), 1)
+    for rule in _REDUCTION_RULES:
+        if not rule.hypotheses(ctx):
+            i, alpha = rule.operator(ctx)
+            return rule.ident, i, alpha, (ctx.deg.k if rule.ident == "3.7" else 1)
+    raise NonDescent("no reduction rule applies at degree %s" % (ctx.deg,))
 
 
 def _run_reduction(v: ModuleVector, psi: PsiSpec, a=None, max_steps=10000):
-    """Shared descent loop; a=None runs in the module, else in the quotient."""
+    """Shared descent loop; a=None runs in the module, else in the quotient.
+
+    Returns the final z-polynomial and the transcript.
+    """
     if a is not None:
         v = quotient_project(v, a)
     if not v:
         raise ZeroVector("cannot reduce the zero vector")
     steps = []
     cur = v
-    top, _ = degree_of(cur)
-    while top != TRIPLE_MIN:
+    ctx = RuleContext(cur)
+    while ctx.deg != TRIPLE_MIN:
         if len(steps) >= max_steps:
             raise NonTermination("reduction exceeded %d steps" % max_steps)
-        rule, i, alpha, expo = _step_choice(cur)
+        rule, i, alpha, expo = _step_choice(ctx)
         gen = d(i, alpha)
         pv = psi_eval(gen, psi)
-        before = _measure_of(top)
+        before = _measure_of(ctx.deg)
         for _ in range(expo):
             cur = act(gen, cur, psi) - pv * cur
             if a is not None:
@@ -493,26 +474,24 @@ def _run_reduction(v: ModuleVector, psi: PsiSpec, a=None, max_steps=10000):
             if a is not None:
                 raise ProbeFailed("quotient reduction collapsed to zero at rule %s" % rule)
             raise NonDescent("reduction produced zero at rule %s" % rule)
-        top, _ = degree_of(cur)
-        after = _measure_of(top)
+        ctx = RuleContext(cur)
+        after = _measure_of(ctx.deg)
         if not after < before:
             raise NonDescent(
                 "measure failed to drop at rule %s: %r -> %r" % (rule, before, after))
-        steps.append(ReductionStep(rule, i, alpha, pv, expo, top))
-    return cur, ReductionTranscript(steps)
+        steps.append(ReductionStep(rule, i, alpha, pv, expo, ctx.deg))
+    return ctx.lead_poly, ReductionTranscript(steps)
 
 
 def reduce_to_whittaker(v: ModuleVector, spec: PsiSpec = SYMBOLIC, max_steps=10000):
     """Drive v down to a nonzero polynomial f with f(z)w in the orbit of v.
 
     Returns (f, transcript).  Raises ZeroVector on zero input,
-    NonTermination past the step cap, and NonDescent if an application
-    ever fails to lower the degree measure (both signal engine bugs,
-    since the congruence rules guarantee descent).
+    NonTermination past the step cap, and NonDescent if no rule applies
+    or an application ever fails to lower the degree measure (both
+    signal engine bugs, since the congruence rules guarantee descent).
     """
-    final, transcript = _run_reduction(v, spec, None, max_steps)
-    _, poly = degree_of(final)
-    return poly, transcript
+    return _run_reduction(v, spec, None, max_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +531,7 @@ def simplicity_probe(v: ModuleVector, a, spec: PsiSpec) -> Scalar:
     """
     if spec.is_symbolic():
         raise SingularPsi("simplicity_probe needs a specialized nonsingular type")
-    final, _ = _run_reduction(v, spec, a=a)
-    _, poly = degree_of(final)
+    poly, _ = _run_reduction(v, spec, a=a)
     return poly.coeff(0)
 
 
@@ -594,26 +572,6 @@ def _slice_span(seeds, trunc: Truncation, spec: PsiSpec):
         candidates = [act(op, cur, spec) for op in ops]
 
 
-def _coordinate_polys(v: ModuleVector):
-    """The vector regrouped as {triple: z-polynomial}."""
-    grouped = {}
-    for mono, c in v.terms():
-        grouped.setdefault(mono.triple, {})[mono.r] = c
-    out = {}
-    for t, rs in grouped.items():
-        out[t] = ZPoly([rs.get(r, ZERO) for r in range(max(rs) + 1)])
-    return out
-
-
-def _from_coordinate_polys(polys) -> ModuleVector:
-    terms = {}
-    for t, poly in polys.items():
-        for r, c in enumerate(poly.coeffs):
-            if c:
-                terms[BasisMonomial(t.lam, t.mu, t.k, r)] = c
-    return _raw_vector(terms)
-
-
 def submodule_generator(gens, trunc: Truncation, spec: PsiSpec) -> ZPoly:
     """Monic generator of the Whittaker ideal of the submodule the
     generators span, computed relative to the truncated slice.
@@ -642,7 +600,7 @@ def submodule_generator(gens, trunc: Truncation, spec: PsiSpec) -> ZPoly:
     while improved:
         improved = False
         for vec in span:
-            polys = _coordinate_polys(vec)
+            polys = vec.by_triple()
             remainders = {}
             for t, poly in polys.items():
                 _, rem = poly.divmod_by(g)
@@ -650,7 +608,7 @@ def submodule_generator(gens, trunc: Truncation, spec: PsiSpec) -> ZPoly:
                     remainders[t] = rem
             if not remainders:
                 continue
-            v2 = _from_coordinate_polys(remainders)
+            v2 = ModuleVector.from_triples(remainders)
             f2, _ = reduce_to_whittaker(v2, spec)
             g2 = poly_gcd(g, f2).monic()
             if g2 != g:
@@ -665,35 +623,37 @@ def submodule_generator(gens, trunc: Truncation, spec: PsiSpec) -> ZPoly:
 # the congruence rule registry
 
 
-def _poly_at(v: ModuleVector, t: Triple) -> ZPoly:
-    """The z-polynomial multiplying the basis monomials of triple t in v."""
-    rs = {}
-    for mono, c in v.terms():
-        if mono.triple == t:
-            rs[mono.r] = c
-    if not rs:
-        return ZPoly()
-    return ZPoly([rs.get(r, ZERO) for r in range(max(rs) + 1)])
+class RuleContext:
+    """The degree data of a nonzero vector that the congruence rules read.
 
+    ``polys`` is the vector regrouped by triple; ``deg`` its degree
+    triple, ``lead_poly`` the z-polynomial there and ``level`` the
+    weight sum N of ``deg``; ``lower_top`` the largest triple at weight
+    level N - (0,1), or None when that level is empty.
+    """
 
-def _monomial_times_poly(t: Triple, poly: ZPoly) -> ModuleVector:
-    terms = {}
-    for r, c in enumerate(poly.coeffs):
-        if c:
-            terms[BasisMonomial(t.lam, t.mu, t.k, r)] = c
-    return _raw_vector(terms)
+    def __init__(self, v: ModuleVector):
+        if not v:
+            raise ZeroVector("the zero vector has no degree")
+        self.polys = v.by_triple()
+        self.deg = triple_max(self.polys)
+        self.lead_poly = self.polys[self.deg]
+        self.level = self.deg.weight_sum()
+        low = weight_add(self.level, (0, -1))
+        lower = [t for t in self.polys if t.weight_sum() == low]
+        self.lower_top = triple_max(lower) if lower else None
 
 
 class Rule(NamedTuple):
-    """A registered congruence rule.
+    """A registered congruence rule; each field is a function of a context.
 
-    ``hypotheses`` returns an error string (or None) for an instance;
+    ``hypotheses`` returns an error string, or None when they hold;
     ``operator`` picks (i, alpha); ``target`` the triple that is both
     the leading monomial and the filtration modulus; ``poly`` the
-    attached z-polynomial; ``verified`` / ``stated`` the leading
-    coefficient as (rational, type-value index or None), where the
-    stated callable may return None when the printed form cannot be
-    evaluated.  ``errata`` lists the documented discrepancies.
+    attached z-polynomial; ``coefficient`` the leading coefficient as
+    (rational, type-value index or None), as exact computation gives it.
+    ``errata`` lists the documented discrepancies of the printed
+    statement.
     """
 
     ident: str
@@ -701,13 +661,12 @@ class Rule(NamedTuple):
     operator: object
     target: object
     poly: object
-    verified: object
-    stated: object
+    coefficient: object
     errata: tuple
 
 
 def _hyp_35(inst):
-    if len(inst.uw.support_triples()) != 1:
+    if len(inst.polys) != 1:
         return "needs a vector supported on a single basis triple"
     if inst.omega_index not in (0, 1, 2):
         return "needs an operator choice omega_index in {0, 1, 2}"
@@ -716,10 +675,6 @@ def _hyp_35(inst):
 def _hyp_37(inst):
     if inst.deg.k <= 0:
         return "needs a degree triple with positive k"
-
-
-def _mu_min(inst):
-    return min(inst.deg.mu.support())
 
 
 def _hyp_381(inst):
@@ -768,7 +723,7 @@ def _hyp_310(inst):
     err = _hyp_step4(inst)
     if err:
         return err
-    if inst.lower_set:
+    if inst.lower_top is not None:
         return "needs the next-lower weight level to be empty"
 
 
@@ -776,7 +731,7 @@ def _hyp_311(inst):
     err = _hyp_step4(inst)
     if err:
         return err
-    if not inst.lower_set:
+    if inst.lower_top is None:
         return "needs the next-lower weight level to be inhabited"
 
 
@@ -797,7 +752,7 @@ def _hyp_3112(inst):
         return "needs the lower-level top triple to have k = 0"
     if not eta:
         return "needs the lower-level top triple to have a nonempty mu part"
-    if min(eta.support())[0] != 0:
+    if _eta_min(inst)[0] != 0:
         return "needs the minimal lower-level mu entry to have first component zero"
 
 
@@ -812,12 +767,20 @@ def _hyp_3113(inst):
         return "needs the lower-level top triple to have an empty mu part"
 
 
-def _op_35(inst):
-    return OMEGA[inst.omega_index]
+def _mu_min(inst):
+    return min(inst.deg.mu.support())
 
 
-def _ver_35(inst):
-    return (Fraction(0), None)
+def _pos_min(inst):
+    return min(inst.deg.lam.positive_support())
+
+
+def _lam_min(inst):
+    return min(inst.deg.lam.support())
+
+
+def _eta_min(inst):
+    return min(inst.lower_top.mu.support())
 
 
 def _lead_poly(inst):
@@ -825,18 +788,35 @@ def _lead_poly(inst):
 
 
 def _lower_poly(inst):
-    return _poly_at(inst.uw, inst.lower_top)
+    return inst.polys[inst.lower_top]
+
+
+def _target_38(inst):
+    return Triple(inst.deg.lam, inst.deg.mu.remove_one(_mu_min(inst)), 0)
+
+
+# 3.10 and 3.11.3 apply the same operator to the same leading term
+def _op_lam_min(inst):
+    return (2, weight_add(_lam_min(inst), EPS2))
+
+
+def _target_lam_min(inst):
+    return Triple(inst.deg.lam.remove_one(_lam_min(inst)), EMPTY, 0)
+
+
+def _coeff_lam_min(inst):
+    alpha = _lam_min(inst)
+    return (Fraction(-alpha[1] * inst.deg.lam.multiplicity(alpha)), 1)
 
 
 RULES = {
     "3.5": Rule(
         "3.5",
         _hyp_35,
-        _op_35,
+        lambda inst: OMEGA[inst.omega_index],
         lambda inst: inst.deg,
         _lead_poly,
-        _ver_35,
-        _ver_35,
+        lambda inst: (Fraction(0), None),
         (),
     ),
     "3.7": Rule(
@@ -846,16 +826,14 @@ RULES = {
         lambda inst: Triple(inst.deg.lam, inst.deg.mu, inst.deg.k - 1),
         _lead_poly,
         lambda inst: (Fraction(-2 * inst.deg.k), 3),
-        lambda inst: (Fraction(-2 * inst.deg.k), 3),
         (),
     ),
     "3.8.1": Rule(
         "3.8.1",
         _hyp_381,
         lambda inst: (1, weight_add(_mu_min(inst), TWO_EPS2)),
-        lambda inst: Triple(inst.deg.lam, inst.deg.mu.remove_one(_mu_min(inst)), 0),
+        _target_38,
         _lead_poly,
-        lambda inst: (Fraction(-_mu_min(inst)[0] * inst.deg.mu.multiplicity(_mu_min(inst))), 3),
         lambda inst: (Fraction(-_mu_min(inst)[0] * inst.deg.mu.multiplicity(_mu_min(inst))), 3),
         ("the derivation's final display carries the opposite sign; the statement's "
          "sign agrees with exact computation and is the one checked here",),
@@ -864,10 +842,8 @@ RULES = {
         "3.8.2",
         _hyp_382,
         lambda inst: (2, weight_add(_mu_min(inst), TWO_EPS2)),
-        lambda inst: Triple(inst.deg.lam, inst.deg.mu.remove_one(_mu_min(inst)), 0),
+        _target_38,
         _lead_poly,
-        lambda inst: (Fraction(-2 * (_mu_min(inst)[1] + 1)
-                               * inst.deg.mu.multiplicity(_mu_min(inst))), 3),
         lambda inst: (Fraction(-2 * (_mu_min(inst)[1] + 1)
                                * inst.deg.mu.multiplicity(_mu_min(inst))), 3),
         (),
@@ -875,31 +851,19 @@ RULES = {
     "3.9": Rule(
         "3.9",
         _hyp_39,
-        lambda inst: (2, weight_add(min(inst.deg.lam.positive_support()), TWO_EPS2)),
-        lambda inst: Triple(
-            inst.deg.lam.remove_one(min(inst.deg.lam.positive_support())), EMPTY, 0),
+        lambda inst: (2, weight_add(_pos_min(inst), TWO_EPS2)),
+        lambda inst: Triple(inst.deg.lam.remove_one(_pos_min(inst)), EMPTY, 0),
         _lead_poly,
-        lambda inst: (Fraction(
-            -min(inst.deg.lam.positive_support())[0]
-            * inst.deg.lam.multiplicity(min(inst.deg.lam.positive_support()))), 3),
-        lambda inst: (Fraction(
-            -min(inst.deg.lam.positive_support())[0]
-            * inst.deg.lam.multiplicity(min(inst.deg.lam.positive_support()))), 3),
+        lambda inst: (Fraction(-_pos_min(inst)[0] * inst.deg.lam.multiplicity(_pos_min(inst))), 3),
         (),
     ),
     "3.10": Rule(
         "3.10",
         _hyp_310,
-        lambda inst: (2, weight_add(min(inst.deg.lam.support()), EPS2)),
-        lambda inst: Triple(
-            inst.deg.lam.remove_one(min(inst.deg.lam.support())), EMPTY, 0),
+        _op_lam_min,
+        _target_lam_min,
         _lead_poly,
-        lambda inst: (Fraction(
-            -min(inst.deg.lam.support())[1]
-            * inst.deg.lam.multiplicity(min(inst.deg.lam.support()))), 1),
-        lambda inst: (Fraction(
-            -min(inst.deg.lam.support())[1]
-            * inst.deg.lam.multiplicity(min(inst.deg.lam.support()))), 1),
+        _coeff_lam_min,
         (),
     ),
     "3.11.1": Rule(
@@ -909,21 +873,16 @@ RULES = {
         lambda inst: Triple(inst.lower_top.lam, inst.lower_top.mu, inst.lower_top.k - 1),
         _lower_poly,
         lambda inst: (Fraction(-inst.lower_top.k), 1),
-        lambda inst: (Fraction(-inst.lower_top.k), 1),
         (),
     ),
     "3.11.2": Rule(
         "3.11.2",
         _hyp_3112,
-        lambda inst: (1, weight_add(min(inst.lower_top.mu.support()), EPS2)),
-        lambda inst: Triple(
-            inst.lower_top.lam,
-            inst.lower_top.mu.remove_one(min(inst.lower_top.mu.support())), 0),
+        lambda inst: (1, weight_add(_eta_min(inst), EPS2)),
+        lambda inst: Triple(inst.lower_top.lam, inst.lower_top.mu.remove_one(_eta_min(inst)), 0),
         _lower_poly,
-        lambda inst: (Fraction(
-            -(min(inst.lower_top.mu.support())[1] + 1)
-            * inst.lower_top.mu.multiplicity(min(inst.lower_top.mu.support()))), 1),
-        lambda inst: None,
+        lambda inst: (Fraction(-(_eta_min(inst)[1] + 1)
+                               * inst.lower_top.mu.multiplicity(_eta_min(inst))), 1),
         ("the printed coefficient uses the weight beta itself as a scalar and cannot "
          "be evaluated; exact computation gives -(beta_2 + 1) times the multiplicity "
          "times the type value of d1((0,1))",),
@@ -931,32 +890,34 @@ RULES = {
     "3.11.3": Rule(
         "3.11.3",
         _hyp_3113,
-        lambda inst: (2, weight_add(min(inst.deg.lam.support()), EPS2)),
-        lambda inst: Triple(
-            inst.deg.lam.remove_one(min(inst.deg.lam.support())), EMPTY, 0),
+        _op_lam_min,
+        _target_lam_min,
         _lead_poly,
-        lambda inst: (Fraction(
-            -min(inst.deg.lam.support())[1]
-            * inst.deg.lam.multiplicity(min(inst.deg.lam.support()))), 1),
-        lambda inst: (Fraction(
-            -min(inst.deg.lam.support())[1]
-            * inst.deg.lam.multiplicity(min(inst.deg.lam.support()))), 2),
+        _coeff_lam_min,
         ("the printed coefficient carries the type value of d2((0,1)); exact "
          "computation gives the value of d1((0,1)), matching the parallel "
          "empty-lower-level rule",),
     ),
 }
 
+# The printed coefficients that differ from the computed ones, in the
+# same form; None marks a printed form that cannot be evaluated.
+_PRINTED = {
+    "3.11.2": lambda inst: None,
+    "3.11.3": lambda inst: (_coeff_lam_min(inst)[0], 2),
+}
 
-class LemmaInstance:
-    """A vector plus the derived context one congruence rule needs.
+# The rules that lower the degree; 3.5 only shows that the three
+# generators with nonzero type value keep it.
+_REDUCTION_RULES = tuple(rule for ident, rule in RULES.items() if ident != "3.5")
 
-    The constructor computes the degree triple, its weight level N, the
-    support triples at levels N and N - (0,1), and the maximum of the
-    lower level when it is inhabited, then checks the rule's hypotheses
-    and raises HypothesisViolated when they fail.  Rule "3.5" also
-    carries omega_index, choosing the operator out of the three
-    generators with nonzero type value.
+
+class LemmaInstance(RuleContext):
+    """A vector and its rule context, checked against one rule's hypotheses.
+
+    The constructor raises HypothesisViolated when the hypotheses fail.
+    Rule "3.5" also carries omega_index, choosing the operator out of
+    the three generators with nonzero type value.
     """
 
     def __init__(self, ident, uw: ModuleVector, omega_index=None):
@@ -966,16 +927,10 @@ class LemmaInstance:
             raise HypothesisViolated("rule %s: the zero vector is not an instance" % ident)
         if omega_index is not None and ident != "3.5":
             raise ValueError("omega_index is only meaningful for rule 3.5")
+        super().__init__(uw)
         self.ident = ident
         self.uw = uw
         self.omega_index = omega_index
-        self.deg, self.lead_poly = degree_of(uw)
-        self.level = self.deg.weight_sum()
-        support = uw.support_triples()
-        self.level_set = tuple(s for s in support if s.weight_sum() == self.level)
-        low = weight_add(self.level, (0, -1))
-        self.lower_set = tuple(s for s in support if s.weight_sum() == low)
-        self.lower_top = triple_max(self.lower_set) if self.lower_set else None
         err = RULES[ident].hypotheses(self)
         if err:
             raise HypothesisViolated("rule %s: %s" % (ident, err))
@@ -1045,10 +1000,11 @@ def verify_lemma(inst: LemmaInstance, spec: PsiSpec = SYMBOLIC,
     uw = inst.uw if spec.is_symbolic() else inst.uw.specialize(spec)
     defect = act(gen, uw, spec) - pv * uw
     target = rule.target(inst)
-    computed_poly = _poly_at(defect, target)
-    computed = _monomial_times_poly(target, computed_poly)
+    computed_poly = defect.by_triple().get(target, ZPoly())
+    computed = ModuleVector.from_triples({target: computed_poly})
     errata = rule.errata
-    coeff_spec = (rule.stated if stated else rule.verified)(inst)
+    coefficient = _PRINTED.get(inst.ident, rule.coefficient) if stated else rule.coefficient
+    coeff_spec = coefficient(inst)
     if coeff_spec is None:
         printed = None
         match = False
@@ -1063,7 +1019,7 @@ def verify_lemma(inst: LemmaInstance, spec: PsiSpec = SYMBOLIC,
         if not spec.is_symbolic():
             poly = poly.specialize(spec)
         poly = poly * c
-        printed = _monomial_times_poly(target, poly)
+        printed = ModuleVector.from_triples({target: poly})
         match = computed_poly == poly
         filtration_ok = in_filtration(defect - printed, target)
     return VerifyReport(inst.ident, inst, match, filtration_ok, computed, printed, errata)
@@ -1105,22 +1061,6 @@ def _int_partition(rng, total) -> Partition:
     return Partition(parts)
 
 
-def _vector(parts) -> ModuleVector:
-    """Build a vector from {triple: poly}."""
-    terms = {}
-    for t, poly in parts.items():
-        for r, c in enumerate(poly.coeffs):
-            if c:
-                mono = BasisMonomial(t.lam, t.mu, t.k, r)
-                acc = terms.get(mono)
-                c2 = c if acc is None else acc + c
-                if c2:
-                    terms[mono] = c2
-                elif mono in terms:
-                    del terms[mono]
-    return _raw_vector(terms)
-
-
 def _sprinkle(rng, parts, top, keep=None, tries=6):
     """Add junk terms strictly below top (and passing the keep filter)."""
     pool = _ZERO_FIRST + _MIXED
@@ -1141,7 +1081,7 @@ def random_instance(ident, rng) -> LemmaInstance:
         t = Triple(_rand_partition(rng, _ZERO_FIRST + _MIXED),
                    _rand_partition(rng, _ZERO_FIRST + _MIXED, maxlen=1),
                    rng.randint(0, 2))
-        return LemmaInstance("3.5", _vector({t: _rand_poly(rng)}),
+        return LemmaInstance("3.5", ModuleVector.from_triples({t: _rand_poly(rng)}),
                              omega_index=rng.randrange(3))
 
     if ident == "3.7":
@@ -1150,7 +1090,7 @@ def random_instance(ident, rng) -> LemmaInstance:
                      rng.randint(1, 3))
         parts = {top: _rand_poly(rng)}
         _sprinkle(rng, parts, top)
-        return LemmaInstance("3.7", _vector(parts))
+        return LemmaInstance("3.7", ModuleVector.from_triples(parts))
 
     if ident in ("3.8.1", "3.8.2"):
         alpha = rng.choice(_MIXED if ident == "3.8.1" else _ZERO_FIRST)
@@ -1160,7 +1100,7 @@ def random_instance(ident, rng) -> LemmaInstance:
         top = Triple(_rand_partition(rng, _ZERO_FIRST + _MIXED), mu, 0)
         parts = {top: _rand_poly(rng)}
         _sprinkle(rng, parts, top)
-        return LemmaInstance(ident, _vector(parts))
+        return LemmaInstance(ident, ModuleVector.from_triples(parts))
 
     if ident == "3.9":
         alpha = rng.choice(_MIXED)
@@ -1171,7 +1111,7 @@ def random_instance(ident, rng) -> LemmaInstance:
         top = Triple(lam, EMPTY, 0)
         parts = {top: _rand_poly(rng)}
         _sprinkle(rng, parts, top)
-        return LemmaInstance("3.9", _vector(parts))
+        return LemmaInstance("3.9", ModuleVector.from_triples(parts))
 
     # the pure-lambda endgames: deg = (lam', 0, 0) with level (0, n)
     lam = _rand_partition(rng, _ZERO_FIRST, maxlen=3, minlen=1)
@@ -1193,7 +1133,7 @@ def random_instance(ident, rng) -> LemmaInstance:
             if t not in parts and triple_prec(t, top):
                 parts[t] = _rand_poly(rng)
         _sprinkle(rng, parts, top, keep=below_lower)
-        return LemmaInstance("3.10", _vector(parts))
+        return LemmaInstance("3.10", ModuleVector.from_triples(parts))
 
     if ident not in ("3.11.1", "3.11.2", "3.11.3"):
         raise ValueError("unknown rule %r" % (ident,))
@@ -1217,4 +1157,4 @@ def random_instance(ident, rng) -> LemmaInstance:
     _sprinkle(rng, parts, top,
               keep=lambda t: below_lower(t) or
               (t.weight_sum() == (0, n - 1) and triple_prec(t, lower)))
-    return LemmaInstance(ident, _vector(parts))
+    return LemmaInstance(ident, ModuleVector.from_triples(parts))

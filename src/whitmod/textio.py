@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .coeff import ONE, PsiSpec, SYMBOLIC, Scalar
 from .liecore import LieElt, d
-from .wmod import ModuleVector, act_word, w_vector
+from .wmod import MAX_WORD_LENGTH, ModuleVector, act_word, w_vector
 
 
 class ParseError(ValueError):
@@ -235,10 +235,14 @@ class _Parser:
         coeff = self.parse_coeff() if self.at_coeff() else ONE
         word = []
         while self.at_generator():
+            pos = self.peek()[2]
             i, alpha = self.parse_generator()
             power = 1
             if self.take("^"):
                 power = self.parse_uint()
+            if len(word) + power > MAX_WORD_LENGTH:
+                raise ParseError("a term of more than %d factors at offset %d"
+                                 % (MAX_WORD_LENGTH, pos), pos, ())
             word.extend([(i, alpha)] * power)
         kind, name, _ = self.peek()
         if kind != "NAME" or name != "w":

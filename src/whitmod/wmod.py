@@ -47,6 +47,13 @@ from .liecore import (
 from .orders import EMPTY, Partition, Triple, triple_max, triple_prec
 
 
+# Longest word, in factors with h2 and z included, that text and JSON
+# input may give.  Straightening recurses once per factor (a word of n
+# factors takes about n + 12 frames), and Python's default limit of 1000
+# frames overflowed at 1200 factors; the margin leaves room for callers.
+MAX_WORD_LENGTH = 500
+
+
 class ZeroVector(ValueError):
     """An operation that needs a nonzero vector got the zero vector."""
 
@@ -92,12 +99,17 @@ class BasisMonomial(NamedTuple):
 
     @staticmethod
     def from_json(data) -> "BasisMonomial":
-        return BasisMonomial(
+        mono = BasisMonomial(
             Partition.from_json(data["lambda"]),
             Partition.from_json(data["mu"]),
             int(data["k"]),
             int(data["r"]),
         )
+        length = len(mono.lam) + len(mono.mu) + mono.k + mono.r
+        if length > MAX_WORD_LENGTH:
+            raise ValueError("a monomial of %d factors exceeds the word bound %d"
+                             % (length, MAX_WORD_LENGTH))
+        return mono
 
 
 MONOMIAL_W = BasisMonomial(EMPTY, EMPTY, 0, 0)
@@ -143,6 +155,24 @@ class ModuleVector:
     def support_triples(self):
         """Distinct triples appearing in the vector."""
         return {m.triple for m in self._terms}
+
+    def by_triple(self):
+        """The vector regrouped as {triple: nonzero z-polynomial}."""
+        grouped = {}
+        for mono, c in self._terms.items():
+            grouped.setdefault(mono.triple, {})[mono.r] = c
+        return {t: ZPoly([rs.get(r, ZERO) for r in range(max(rs) + 1)])
+                for t, rs in grouped.items()}
+
+    @staticmethod
+    def from_triples(polys) -> "ModuleVector":
+        """The vector sum of poly(z) x_t w over a {triple: z-polynomial} dict."""
+        terms = {}
+        for t, poly in polys.items():
+            for r, c in enumerate(poly.coeffs):
+                if c:
+                    terms[BasisMonomial(t.lam, t.mu, t.k, r)] = c
+        return _raw_vector(terms)
 
     def __bool__(self):
         return bool(self._terms)
@@ -412,13 +442,9 @@ def degree_of(v: ModuleVector):
     """(leading triple, leading z-polynomial) under the triple order."""
     if not v:
         raise ZeroVector("the zero vector has no degree")
-    by_triple = {}
-    for mono, c in v._terms.items():
-        by_triple.setdefault(mono.triple, {})[mono.r] = c
-    top = triple_max(by_triple)
-    rs = by_triple[top]
-    coeffs = [rs.get(r, ZERO) for r in range(max(rs) + 1)]
-    return top, ZPoly(coeffs)
+    polys = v.by_triple()
+    top = triple_max(polys)
+    return top, polys[top]
 
 
 def in_filtration(v: ModuleVector, t: Triple) -> bool:

@@ -7,7 +7,7 @@ from whitmod.coeff import PsiSpec, Scalar, ZPoly
 from whitmod.liecore import LieElt, bracket, d
 from whitmod.solver import quotient_act
 from whitmod.textio import parse_lie, parse_vector
-from whitmod.wmod import ModuleVector, act_word, basis_vector, w_vector
+from whitmod.wmod import MAX_WORD_LENGTH, ModuleVector, act_word, basis_vector, w_vector
 
 PSI123 = PsiSpec.of(1, 2, 3)
 SLICE_FLAGS = ["--cap", "0,2", "--entries", "0,1;0,2", "--kmax", "1", "--rmax", "2"]
@@ -152,6 +152,32 @@ def test_nonpositive_step_cap_is_a_parse_error(capsys, cap):
     assert code == 2
     assert out == ""
     assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+LONG_WORD = "z " + "d1(-1,0) " * 1199 + "w"
+LONG_JSON = json.dumps(basis_vector(k=1500).to_json())
+
+
+@pytest.mark.parametrize("argv", [
+    ["nf", LONG_WORD],
+    ["act", "d1(0,1)", LONG_JSON],
+    # the parser refuses the power before it builds the word
+    ["nf", "d1(-1,0)^%d w" % 10 ** 30],
+], ids=["text", "json", "huge-power"])
+def test_word_over_the_bound_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+def test_word_at_the_bound_straightens(capsys):
+    code, out, _ = run(capsys, "nf", "z d1(-1,0)^%d w" % (MAX_WORD_LENGTH - 1), "--format", "json")
+    assert code == 0
+    lam = [(1, 0)] * (MAX_WORD_LENGTH - 1)
+    # [z, d1(-1,0)] = -d1(-1,0), paid once per factor z moves past
+    expected = basis_vector(lam, r=1) - (MAX_WORD_LENGTH - 1) * basis_vector(lam)
+    assert ModuleVector.from_json(json.loads(out)) == expected
 
 
 def test_singular_type_exit(capsys):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from whitmod.coeff import SYMBOLIC, PsiSpec, Scalar, SingularPsi, ZPoly
@@ -13,6 +13,7 @@ from whitmod.solver import (
     HypothesisViolated,
     LemmaInstance,
     ReductionTranscript,
+    RuleContext,
     Truncation,
     _SparseEchelon,
     quotient_act,
@@ -459,9 +460,31 @@ def test_stated_mode_flags_the_two_bad_rules():
     report = verify_lemma(random_instance("3.11.3", rng), stated=True)
     assert not report.match
     assert not report.filtration_ok
-    # 3.8.1's statement is fine (only its derivation display is off)
-    report = verify_lemma(random_instance("3.8.1", rng), stated=True)
-    assert report.passed
+    # every other printed coefficient, 3.8.1's included (only its
+    # derivation display is off), is the computed one
+    for ident in sorted(set(RULES) - {"3.11.2", "3.11.3"}):
+        for _ in range(3):
+            report = verify_lemma(random_instance(ident, rng), stated=True)
+            assert report.passed, (ident, report)
+
+
+reduction_words = st.lists(st.sampled_from(WORD_POOL), min_size=1, max_size=4)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(reduction_words, min_size=1, max_size=2), st.sampled_from([SYMBOLIC, PSI123]))
+def test_exactly_one_reduction_rule_applies(word_list, psi):
+    v = w_vector() - w_vector()
+    for word in word_list:
+        v = v + act_word(word, w_vector(), psi)
+    assume(v)
+    ctx = RuleContext(v)
+    assume(ctx.deg != TRIPLE_MIN)
+    holding = [ident for ident, rule in RULES.items()
+               if ident != "3.5" and not rule.hypotheses(ctx)]
+    assert len(holding) == 1, holding
+    _, transcript = reduce_to_whittaker(v, psi)
+    assert transcript.steps[0].rule == holding[0]
 
 
 def test_omega_rule_has_zero_leading_term():
