@@ -633,8 +633,6 @@ class RuleContext:
     """
 
     def __init__(self, v: ModuleVector):
-        if not v:
-            raise ZeroVector("the zero vector has no degree")
         self.polys = v.by_triple()
         self.deg = triple_max(self.polys)
         self.lead_poly = self.polys[self.deg]
@@ -907,8 +905,8 @@ _PRINTED = {
     "3.11.3": lambda inst: (_coeff_lam_min(inst)[0], 2),
 }
 
-# The rules that lower the degree; 3.5 only shows that the three
-# generators with nonzero type value keep it.
+# The rules the reduction applies.  3.5 is not one: its leading
+# coefficient is zero, so its defect has no known top triple.
 _REDUCTION_RULES = tuple(rule for ident, rule in RULES.items() if ident != "3.5")
 
 

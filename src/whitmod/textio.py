@@ -17,7 +17,8 @@ Grammar (whitespace insensitive):
 
 Vector factors are applied to w rightmost first, through the module
 action, so positive factors in the input are legal and evaluate through
-the type homomorphism.  Formatting is handled by the classes' __str__;
+the type homomorphism.  A vterm holds at most MAX_WORD_LENGTH factors,
+powers counted out.  Formatting is handled by the classes' __str__;
 this module owns parsing and raises ParseError with the offending offset
 and the expected-token set.
 """
