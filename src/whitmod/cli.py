@@ -21,8 +21,9 @@ or three comma-separated rationals (``p/q`` allowed); when absent, the
 symbolic.
 
 Exit codes: 0 success, 1 verification or probe failure, 2 malformed
-input, 3 singular (zero or unspecialized where values are needed) type,
-4 internal invariant violation.
+input (an operator of the wrong rank included), 3 singular (zero or
+unspecialized where values are needed) type, 4 internal invariant
+violation.
 """
 
 import argparse
@@ -31,11 +32,11 @@ import os
 import random
 import sys
 
-from .coeff import SingularPsi, ZPoly
-from .liecore import LieElt, bracket, psi_eval
+from .coeff import SingularPsi
+from .liecore import LieElt, bracket
 from .orders import Triple
 from .textio import ParseError, parse_lie, parse_vector, parse_psi
-from .wmod import ModuleVector, ZeroVector, NonDescent, act, degree_of
+from .wmod import ModuleVector, ZeroVector, NonDescent, act
 from .solver import (
     NonTermination,
     ProbeFailed,
@@ -47,7 +48,6 @@ from .solver import (
     simplicity_probe,
     submodule_generator,
     RULES,
-    LemmaInstance,
     verify_lemma,
     random_instance,
 )
@@ -68,14 +68,19 @@ def _psi_of(args):
     return parse_psi(text)
 
 
-def _lie_arg(text):
+def _lie_arg(text, rank=None):
+    """An operator argument; with rank given, an operator of another rank is refused."""
     text = text.strip()
     if text.startswith("{"):
         try:
-            return LieElt.from_json(json.loads(text))
+            x = LieElt.from_json(json.loads(text))
         except (ValueError, KeyError, TypeError) as e:
             raise ParseError("bad operator JSON: %s" % e, 0, ())
-    return parse_lie(text)
+    else:
+        x = parse_lie(text)
+    if rank is not None and x.n != rank:
+        raise ParseError("expected an operator of rank %d, got rank %d" % (rank, x.n), 0, ())
+    return x
 
 
 def _vector_arg(text, psi):
@@ -148,7 +153,7 @@ def _transcript_lines(transcript):
 
 def _cmd_bracket(args):
     x = _lie_arg(args.x)
-    y = _lie_arg(args.y)
+    y = _lie_arg(args.y, rank=x.n)
     z = bracket(x, y)
     _emit(args, str(z), z.to_json())
     return EXIT_OK
@@ -156,7 +161,7 @@ def _cmd_bracket(args):
 
 def _cmd_act(args):
     psi = _psi_of(args)
-    x = _lie_arg(args.x)
+    x = _lie_arg(args.x, rank=2)
     v = _vector_arg(args.vector, psi)
     out = act(x, v, psi)
     _emit(args, str(out), out.to_json())
@@ -213,7 +218,7 @@ def _cmd_ideal(args):
 
 def _cmd_quotient_act(args):
     psi = _psi_of(args)
-    x = _lie_arg(args.x)
+    x = _lie_arg(args.x, rank=2)
     v = _vector_arg(args.vector, psi)
     out = quotient_act(x, v, _rational(args.a), psi)
     _emit(args, str(out), out.to_json())

@@ -12,8 +12,40 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Largest exponent of s1, s2 or s3 that text and JSON input may give.
+# Scalar.__pow__ multiplies once per unit of the exponent and specialize
+# raises each type value to it, so an unbounded exponent is unbounded work.
+MAX_EXPONENT = 1000
+
+
 class SingularPsi(ValueError):
     """Raised when a specialized type value is zero; the type must be nonsingular."""
+
+
+def add_term(out: dict, key, c):
+    """out[key] += c for a nonzero c, dropping the key when the sum is zero."""
+    tot = out.get(key)
+    if tot is None:
+        out[key] = c
+    else:
+        tot = tot + c
+        if tot:
+            out[key] = tot
+        else:
+            del out[key]
+
+
+def join_signed(parts) -> str:
+    """Join rendered terms with + and -, a leading '-' becoming the sign; '0' if none."""
+    if not parts:
+        return "0"
+    text = parts[0]
+    for body in parts[1:]:
+        if body.startswith("-"):
+            text += " - " + body[1:]
+        else:
+            text += " + " + body
+    return text
 
 
 def _coerce(value) -> Fraction:
@@ -43,9 +75,7 @@ class Scalar:
                     raise ValueError("negative exponent in scalar monomial: %r" % (e,))
                 c = _coerce(coeff)
                 if c:
-                    clean[e] = clean.get(e, Fraction(0)) + c
-                    if not clean[e]:
-                        del clean[e]
+                    add_term(clean, e, c)
         object.__setattr__(self, "_terms", clean)
 
     @staticmethod
@@ -85,11 +115,7 @@ class Scalar:
             return NotImplemented
         merged = dict(self._terms)
         for e, c in other._terms.items():
-            s = merged.get(e, Fraction(0)) + c
-            if s:
-                merged[e] = s
-            elif e in merged:
-                del merged[e]
+            add_term(merged, e, c)
         return _raw(merged)
 
     __radd__ = __add__
@@ -123,12 +149,7 @@ class Scalar:
         out = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-                s = out.get(e, Fraction(0)) + ca * cb
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
+                add_term(out, (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2]), ca * cb)
         return _raw(out)
 
     __rmul__ = __mul__
@@ -166,8 +187,6 @@ class Scalar:
         return Scalar.rational(total)
 
     def __str__(self):
-        if not self._terms:
-            return "0"
         parts = []
         for exps, coeff in self.terms():
             names = []
@@ -185,13 +204,7 @@ class Scalar:
             else:
                 body = str(coeff) + "*" + "*".join(names)
             parts.append(body)
-        text = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                text += " - " + body[1:]
-            else:
-                text += " + " + body
-        return text
+        return join_signed(parts)
 
     def __repr__(self):
         return "Scalar(%s)" % self
@@ -209,6 +222,8 @@ class Scalar:
         terms = {}
         for mono in data["monomials"]:
             e = tuple(int(x) for x in mono["e"])
+            if max(e, default=0) > MAX_EXPONENT:
+                raise ValueError("exponent %d exceeds the bound %d" % (max(e), MAX_EXPONENT))
             terms[e] = terms.get(e, Fraction(0)) + Fraction(int(mono["num"]), int(mono["den"]))
         return Scalar(terms)
 
@@ -447,8 +462,6 @@ class ZPoly:
         return ZPoly(quot), ZPoly(rem)
 
     def __str__(self):
-        if not self._coeffs:
-            return "0"
         parts = []
         for r in range(len(self._coeffs) - 1, -1, -1):
             c = self._coeffs[r]
@@ -475,13 +488,7 @@ class ZPoly:
                 if zpart:
                     body += "*" + zpart
             parts.append(body)
-        text = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                text += " - " + body[1:]
-            else:
-                text += " + " + body
-        return text
+        return join_signed(parts)
 
     def __repr__(self):
         return "ZPoly(%s)" % self

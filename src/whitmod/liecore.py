@@ -12,9 +12,11 @@ the algebra are cut out by that sign.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 
-from .coeff import ONE, PsiSpec, SYMBOLIC, Scalar, ZERO, as_scalar, attach_coefficient
+from .coeff import (
+    ONE, PsiSpec, SYMBOLIC, Scalar, ZERO, add_term, as_scalar, attach_coefficient, join_signed,
+)
 
 
 class NotPositive(ValueError):
@@ -49,7 +51,7 @@ def unit_weight(i: int, n: int) -> Weight:
     return tuple(1 if j == i - 1 else 0 for j in range(n))
 
 def weight_add(a: Weight, b: Weight) -> Weight:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 def weight_neg(a: Weight) -> Weight:
     return tuple(-x for x in a)
@@ -90,12 +92,7 @@ class LieElt:
                     raise OutOfRange("index %d outside 1..%d" % (i, n))
                 c = as_scalar(coeff)
                 if c:
-                    key = (i, alpha)
-                    tot = clean.get(key, ZERO) + c
-                    if tot:
-                        clean[key] = tot
-                    elif key in clean:
-                        del clean[key]
+                    add_term(clean, (i, alpha), c)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", clean)
 
@@ -119,11 +116,7 @@ class LieElt:
             raise ValueError("cannot add elements of different rank")
         merged = dict(self._terms)
         for key, c in other._terms.items():
-            tot = merged.get(key, ZERO) + c
-            if tot:
-                merged[key] = tot
-            elif key in merged:
-                del merged[key]
+            add_term(merged, key, c)
         return _raw_elt(self.n, merged)
 
     def __neg__(self):
@@ -154,18 +147,8 @@ class LieElt:
         return bracket(self, other)
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for i, alpha, coeff in self.terms():
-            parts.append(attach_coefficient(coeff, format_generator(i, alpha)))
-        text = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                text += " - " + body[1:]
-            else:
-                text += " + " + body
-        return text
+        return join_signed([attach_coefficient(coeff, format_generator(i, alpha))
+                            for i, alpha, coeff in self.terms()])
 
     def __repr__(self):
         return "LieElt(%s)" % self
@@ -208,23 +191,29 @@ def d(i: int, alpha, coeff=1) -> LieElt:
     return LieElt(len(alpha), {(i, alpha): as_scalar(coeff)})
 
 
+def generator_bracket(f, g) -> dict:
+    """[d_i(a), d_j(b)] = b_i d_j(a+b) - a_j d_i(a+b) as {(index, weight): int}.
+
+    f and g are (i, a) and (j, b); zero coefficients are left out.
+    """
+    i, a = f
+    j, b = g
+    s = weight_add(a, b)
+    out = {(j, s): b[i - 1]}
+    out[(i, s)] = out.get((i, s), 0) - a[j - 1]
+    return {key: c for key, c in out.items() if c}
+
+
 def bracket(x: LieElt, y: LieElt) -> LieElt:
-    """Bilinear extension of [d_i(a), d_j(b)] = b_i d_j(a+b) - a_j d_i(a+b)."""
+    """Bilinear extension of generator_bracket."""
     if x.n != y.n:
         raise ValueError("cannot bracket elements of different rank")
     out = {}
     for i, a, ca in x.terms():
         for j, b, cb in y.terms():
             c = ca * cb
-            s = weight_add(a, b)
-            for idx, scale in ((j, b[i - 1]), (i, -a[j - 1])):
-                if scale:
-                    key = (idx, s)
-                    tot = out.get(key, ZERO) + c * scale
-                    if tot:
-                        out[key] = tot
-                    elif key in out:
-                        del out[key]
+            for key, scale in generator_bracket((i, a), (j, b)).items():
+                add_term(out, key, c * scale)
     return _raw_elt(x.n, out)
 
 

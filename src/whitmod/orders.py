@@ -5,13 +5,21 @@ as a non-decreasing tuple (tuple comparison is the lex order, so plain
 sorting does the right thing).  Entries like (1, -2) are legal: positivity
 is lexicographic, not coordinatewise.
 
-Two strict partial orders on partitions are provided.  partition_lt
-compares multiplicities at the lex-least weight where they differ;
-partition_prec does the same but looks first only at weights whose first
-coordinate is positive, falling back to partition_lt when the partitions
-agree on all of those.  Basis triples (lambda, mu, k) are ordered by total
-weight, then k, then mu under partition_lt, then lambda under
-partition_prec.
+Two total orders on partitions are provided.  partition_lt compares
+multiplicities at the lex-least weight where they differ; partition_prec
+does the same but looks first only at weights whose first coordinate is
+positive, falling back to partition_lt when the partitions agree on all
+of those.  Basis triples (lambda, mu, k) are ordered by total weight,
+then k, then mu under partition_lt, then lambda under partition_prec.
+
+Each order is realised as a sort key compared as a plain tuple.  The key
+of a partition is its negated entries in stored order: the first position
+where two keys differ holds the lex-least weight whose multiplicities
+differ, and the partition with fewer copies there has the larger entry
+next (or none), hence the smaller key.  partition_prec_key puts the key of
+the positive-first entries before that of the zero-first ones, which are
+all lex-below them; triple_key strings the layers of the triple order
+together.
 """
 
 from __future__ import annotations
@@ -72,10 +80,6 @@ class Partition:
         """Distinct entries whose first coordinate is positive."""
         return tuple(sorted(e for e in set(self._entries) if e[0] > 0))
 
-    def stats(self):
-        """(length, weight sum, support, positive support) in one call."""
-        return (len(self._entries), self.weight_sum(), self.support(), self.positive_support())
-
     def remove_one(self, alpha) -> "Partition":
         """Partition with one copy of alpha removed; alpha must occur."""
         alpha = tuple(alpha)
@@ -108,32 +112,26 @@ class Partition:
 EMPTY = Partition()
 
 
-def diff_support(lam: Partition, mu: Partition):
-    """Weights where the two multiplicities differ, lex-ascending."""
-    weights = set(lam.support()) | set(mu.support())
-    return tuple(sorted(a for a in weights if lam.multiplicity(a) != mu.multiplicity(a)))
+def partition_lt_key(p: Partition) -> tuple:
+    """Sort key of partition_lt: the negated entries in stored order."""
+    return tuple((-a, -b) for a, b in p.entries)
 
 
-def diff_support_positive(lam: Partition, mu: Partition):
-    return tuple(a for a in diff_support(lam, mu) if a[0] > 0)
+def partition_prec_key(p: Partition) -> tuple:
+    """Sort key of partition_prec: positive-first entries, then zero-first ones."""
+    key = partition_lt_key(p)
+    zero_first = sum(1 for a, _ in p.entries if a == 0)  # stored before the rest
+    return (key[zero_first:], key[:zero_first])
 
 
 def partition_lt(lam: Partition, mu: Partition) -> bool:
     """Strictly smaller multiplicity at the lex-least disagreement weight."""
-    diff = diff_support(lam, mu)
-    if not diff:
-        return False
-    alpha = diff[0]
-    return lam.multiplicity(alpha) < mu.multiplicity(alpha)
+    return partition_lt_key(lam) < partition_lt_key(mu)
 
 
 def partition_prec(lam: Partition, mu: Partition) -> bool:
     """Like partition_lt but positive-first-coordinate weights take priority."""
-    diff = diff_support_positive(lam, mu)
-    if diff:
-        alpha = diff[0]
-        return lam.multiplicity(alpha) < mu.multiplicity(alpha)
-    return partition_lt(lam, mu)
+    return partition_prec_key(lam) < partition_prec_key(mu)
 
 
 class Triple(NamedTuple):
@@ -158,18 +156,16 @@ class Triple(NamedTuple):
 TRIPLE_MIN = Triple(EMPTY, EMPTY, 0)
 
 
+def triple_key(t: Triple) -> tuple:
+    """Sort key of the triple order: weight sum, then k, then mu, then lambda."""
+    if t.k < 0:
+        raise ValueError("k must be non-negative")
+    return (t.weight_sum(), t.k, partition_lt_key(t.mu), partition_prec_key(t.lam))
+
+
 def triple_prec(t: Triple, u: Triple) -> bool:
     """Strict order on basis triples: weight sum, then k, then mu, then lambda."""
-    if t.k < 0 or u.k < 0:
-        raise ValueError("k must be non-negative")
-    a, b = t.weight_sum(), u.weight_sum()
-    if a != b:
-        return a < b
-    if t.k != u.k:
-        return t.k < u.k
-    if t.mu != u.mu:
-        return partition_lt(t.mu, u.mu)
-    return partition_prec(t.lam, u.lam)
+    return triple_key(t) < triple_key(u)
 
 
 def triple_preceq(t: Triple, u: Triple) -> bool:
@@ -177,11 +173,8 @@ def triple_preceq(t: Triple, u: Triple) -> bool:
 
 
 def triple_max(triples) -> Triple:
-    """Maximum under triple_prec; the triples must be pairwise comparable-or-equal."""
-    best = None
-    for t in triples:
-        if best is None or triple_prec(best, t):
-            best = t
-    if best is None:
+    """Maximum under triple_prec."""
+    top = max(triples, key=triple_key, default=None)
+    if top is None:
         raise ValueError("triple_max of an empty collection")
-    return best
+    return top

@@ -41,6 +41,7 @@ from .coeff import (
     PsiSpec,
     SYMBOLIC,
     SingularPsi,
+    add_term,
     poly_gcd,
 )
 from .liecore import (
@@ -64,11 +65,12 @@ from .wmod import (
     ModuleVector,
     ZeroVector,
     NonDescent,
-    _MONOMIAL_KEY,
+    _monomial_key,
     _raw_vector,
     basis_vector,
     act,
     in_filtration,
+    weight_box,
 )
 
 
@@ -174,7 +176,7 @@ class Truncation:
                 for k in range(self.kmax + 1):
                     for r in range(self.rmax + 1):
                         monos.append(BasisMonomial(lam, mu, k, r))
-        monos.sort(key=_MONOMIAL_KEY)
+        monos.sort(key=_monomial_key)
         return monos
 
     def contains(self, mono: BasisMonomial) -> bool:
@@ -207,9 +209,7 @@ class Truncation:
             m2 = self.lmax * worst
         else:
             m2 = max(self.cap[1], 0)
-        box = [(a1, a2)
-               for a1 in range(0, m1 + 4)
-               for a2 in range((1 if a1 == 0 else -(m2 + 3)), m2 + 4)]
+        box = weight_box(m1 + 3, m2 + 3)
         if not any(e[0] > 0 for e in usable):
             # no slice monomial carries a positive first component, so
             # operators at (a1 > 0, *) have identically zero defect
@@ -342,12 +342,7 @@ def whittaker_space(trunc: Truncation, spec: PsiSpec):
             for m, c in act(gen, v, spec)._terms.items():
                 rows.setdefault((i, alpha, m), {})[j] = c.as_fraction()
             if value:
-                row = rows.setdefault((i, alpha, mono), {})
-                q = row.get(j, 0) - value
-                if q:
-                    row[j] = q
-                else:
-                    del row[j]
+                add_term(rows.setdefault((i, alpha, mono), {}), j, -value)
     echelon = _SparseEchelon()
     for row in sorted(rows.values(), key=len):
         echelon.insert(row)
@@ -502,18 +497,12 @@ def quotient_project(v: ModuleVector, a) -> ModuleVector:
     """Image of v under z -> a: each z-exponent becomes the factor a^r."""
     a = Fraction(a)
     terms = {}
-    for mono, c in v.terms():
+    for mono, c in v._terms.items():
         if mono.r:
             c = c * Scalar.rational(a ** mono.r)
             mono = BasisMonomial(mono.lam, mono.mu, mono.k, 0)
-        if not c:
-            continue
-        acc = terms.get(mono)
-        c = c if acc is None else acc + c
         if c:
-            terms[mono] = c
-        else:
-            del terms[mono]
+            add_term(terms, mono, c)
     return _raw_vector(terms)
 
 

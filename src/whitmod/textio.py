@@ -18,16 +18,17 @@ Grammar (whitespace insensitive):
 Vector factors are applied to w rightmost first, through the module
 action, so positive factors in the input are legal and evaluate through
 the type homomorphism.  A vterm holds at most MAX_WORD_LENGTH factors,
-powers counted out.  Formatting is handled by the classes' __str__;
-this module owns parsing and raises ParseError with the offending offset
-and the expected-token set.
+powers counted out, and an svar exponent is at most MAX_EXPONENT.
+Formatting is handled by the classes' __str__; this module owns parsing
+and raises ParseError with the offending offset and the expected-token
+set.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import ONE, PsiSpec, SYMBOLIC, Scalar
+from .coeff import MAX_EXPONENT, ONE, PsiSpec, SYMBOLIC, Scalar
 from .liecore import LieElt, d
 from .wmod import MAX_WORD_LENGTH, ModuleVector, act_word, w_vector
 
@@ -136,7 +137,12 @@ class _Parser:
         self.advance()
         base = Scalar.generator(int(name[1]))
         if self.take("^"):
-            return base ** self.parse_uint()
+            at = self.peek()[2]
+            n = self.parse_uint()
+            if n > MAX_EXPONENT:
+                raise ParseError("exponent %d at offset %d exceeds the bound %d"
+                                 % (n, at, MAX_EXPONENT), at, ())
+            return base ** n
         return base
 
     def parse_smon(self) -> Scalar:

@@ -35,16 +35,19 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .coeff import ONE, PsiSpec, SYMBOLIC, Scalar, ZERO, ZPoly, as_scalar, attach_coefficient
+from .coeff import (
+    ONE, PsiSpec, SYMBOLIC, Scalar, ZERO, ZPoly, add_term, as_scalar, attach_coefficient, join_signed,
+)
 from .liecore import (
     LieElt,
     Weight,
     _generator_psi,
     d,
+    generator_bracket,
     is_positive,
     weight_neg,
 )
-from .orders import EMPTY, Partition, Triple, triple_max, triple_prec
+from .orders import EMPTY, Partition, Triple, triple_key, triple_max
 
 
 # Longest word, in factors with h2 and z included, that text and JSON
@@ -105,6 +108,8 @@ class BasisMonomial(NamedTuple):
             int(data["k"]),
             int(data["r"]),
         )
+        if mono.k < 0 or mono.r < 0:
+            raise ValueError("k and r must be non-negative, got k=%d, r=%d" % (mono.k, mono.r))
         length = len(mono.lam) + len(mono.mu) + mono.k + mono.r
         if length > MAX_WORD_LENGTH:
             raise ValueError("a monomial of %d factors exceeds the word bound %d"
@@ -115,16 +120,9 @@ class BasisMonomial(NamedTuple):
 MONOMIAL_W = BasisMonomial(EMPTY, EMPTY, 0, 0)
 
 
-def _monomial_cmp(a: BasisMonomial, b: BasisMonomial) -> int:
-    ta, tb = a.triple, b.triple
-    if ta != tb:
-        return -1 if triple_prec(ta, tb) else 1
-    if a.r != b.r:
-        return -1 if a.r < b.r else 1
-    return 0
-
-
-_MONOMIAL_KEY = functools.cmp_to_key(_monomial_cmp)
+def _monomial_key(m: BasisMonomial) -> tuple:
+    """Canonical order of basis monomials: the triple order, then r."""
+    return (triple_key(m.triple), m.r)
 
 
 class ModuleVector:
@@ -138,16 +136,12 @@ class ModuleVector:
             for mono, coeff in terms.items():
                 c = as_scalar(coeff)
                 if c:
-                    tot = clean.get(mono, ZERO) + c
-                    if tot:
-                        clean[mono] = tot
-                    elif mono in clean:
-                        del clean[mono]
+                    add_term(clean, mono, c)
         object.__setattr__(self, "_terms", clean)
 
     def terms(self):
         """(monomial, coeff) pairs in canonical ascending order."""
-        return [(m, self._terms[m]) for m in sorted(self._terms, key=_MONOMIAL_KEY)]
+        return [(m, self._terms[m]) for m in sorted(self._terms, key=_monomial_key)]
 
     def coeff(self, mono: BasisMonomial) -> Scalar:
         return self._terms.get(mono, ZERO)
@@ -185,11 +179,7 @@ class ModuleVector:
             return NotImplemented
         merged = dict(self._terms)
         for mono, c in other._terms.items():
-            tot = merged.get(mono, ZERO) + c
-            if tot:
-                merged[mono] = tot
-            elif mono in merged:
-                del merged[mono]
+            add_term(merged, mono, c)
         return _raw_vector(merged)
 
     def __neg__(self):
@@ -220,18 +210,8 @@ class ModuleVector:
         return ModuleVector({m: c.specialize(psi) for m, c in self._terms.items()})
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.terms():
-            parts.append(attach_coefficient(coeff, str(mono), sep=" * "))
-        text = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                text += " - " + body[1:]
-            else:
-                text += " + " + body
-        return text
+        return join_signed([attach_coefficient(coeff, str(mono), sep=" * ")
+                            for mono, coeff in self.terms()])
 
     def __repr__(self):
         return "ModuleVector(%s)" % self
@@ -301,18 +281,6 @@ def _factor_cmp(f, g) -> int:
     return 0
 
 
-def _factor_bracket(f, g):
-    """[d_i(a), d_j(b)] as a list of (Scalar coefficient, factor)."""
-    i, a = f
-    j, b = g
-    s = (a[0] + b[0], a[1] + b[1])
-    out = {}
-    for idx, scale in ((j, b[i - 1]), (i, -a[j - 1])):
-        if scale:
-            out[(idx, s)] = out.get((idx, s), 0) + scale
-    return [(Scalar.rational(c), fac) for fac, c in out.items() if c]
-
-
 def _monomial_of_sorted(word) -> BasisMonomial:
     lam, mu, k, r = [], [], 0, 0
     for factor in word:
@@ -330,19 +298,6 @@ def _monomial_of_sorted(word) -> BasisMonomial:
     return BasisMonomial(Partition(lam), Partition(mu), k, r)
 
 
-def _add(out: dict, key, c: Scalar):
-    """out[key] += c for a nonzero c, dropping the key when the sum is zero."""
-    tot = out.get(key)
-    if tot is None:
-        out[key] = c
-    else:
-        tot = tot + c
-        if tot:
-            out[key] = tot
-        else:
-            del out[key]
-
-
 def _mul(a: Scalar, b: Scalar) -> Scalar:
     """a * b, skipping the product when either factor is ONE."""
     if a is ONE:
@@ -358,13 +313,13 @@ def _times(x, word, coeff: Scalar, psi: PsiSpec, out: dict):
         if _factor_class(x) == _POS:
             value = _generator_psi(x[0], x[1], psi)
             if value:
-                _add(out, (), _mul(coeff, value))
+                add_term(out, (), _mul(coeff, value))
         else:
-            _add(out, (x,), coeff)
+            add_term(out, (x,), coeff)
         return
     f = word[0]
     if _factor_cmp(x, f) <= 0:
-        _add(out, (x,) + word, coeff)
+        add_term(out, (x,) + word, coeff)
         return
     rest = word[1:]
     moved = {}
@@ -374,11 +329,11 @@ def _times(x, word, coeff: Scalar, psi: PsiSpec, out: dict):
         if len(w2) < len(word):
             _times(f, w2, c, psi, out)
         elif _factor_cmp(f, w2[0]) <= 0:
-            _add(out, (f,) + w2, c)
+            add_term(out, (f,) + w2, c)
         else:
             raise NonDescent("%r . %r does not prepend after moving %r" % (f, w2, x))
-    for cb, g in _factor_bracket(x, f):
-        _times(g, rest, _mul(coeff, cb), psi, out)
+    for g, cb in generator_bracket(x, f).items():
+        _times(g, rest, _mul(coeff, Scalar.rational(cb)), psi, out)
 
 
 def _vector_of_words(words: dict) -> ModuleVector:
@@ -427,7 +382,7 @@ def act(x: LieElt, v: ModuleVector, psi: PsiSpec = SYMBOLIC) -> ModuleVector:
         for mono, cv in v._terms.items():
             c = _mul(cx, cv)
             for m, cm in _act_basis(i, alpha, mono, psi)._terms.items():
-                _add(out, m, _mul(c, cm))
+                add_term(out, m, _mul(c, cm))
     return _raw_vector(out)
 
 
@@ -449,7 +404,8 @@ def degree_of(v: ModuleVector):
 
 def in_filtration(v: ModuleVector, t: Triple) -> bool:
     """Whether every triple of v lies strictly below t; the zero vector always does."""
-    return all(triple_prec(s, t) for s in v.support_triples())
+    top = triple_key(t)
+    return all(triple_key(s) < top for s in v.support_triples())
 
 
 class WhittakerCheck(NamedTuple):

@@ -1,19 +1,73 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whitmod.orders import (
     EMPTY,
     TRIPLE_MIN,
     Partition,
     Triple,
-    diff_support,
     partition_lt,
     partition_prec,
     triple_max,
     triple_prec,
     triple_preceq,
 )
+from whitmod.solver import Truncation
+from whitmod.wmod import BasisMonomial, ModuleVector
+
+# ---------------------------------------------------------------------------
+# reference: the orders as pairwise comparators, written out from their
+# definitions; the library realises them as sort keys
+
+
+def diff_support(lam, mu):
+    """Weights where the two multiplicities differ, lex-ascending."""
+    weights = set(lam.support()) | set(mu.support())
+    return tuple(sorted(a for a in weights if lam.multiplicity(a) != mu.multiplicity(a)))
+
+
+def ref_partition_lt(lam, mu):
+    diff = diff_support(lam, mu)
+    if not diff:
+        return False
+    alpha = diff[0]
+    return lam.multiplicity(alpha) < mu.multiplicity(alpha)
+
+
+def ref_partition_prec(lam, mu):
+    diff = tuple(a for a in diff_support(lam, mu) if a[0] > 0)
+    if diff:
+        alpha = diff[0]
+        return lam.multiplicity(alpha) < mu.multiplicity(alpha)
+    return ref_partition_lt(lam, mu)
+
+
+def ref_triple_prec(t, u):
+    a, b = t.weight_sum(), u.weight_sum()
+    if a != b:
+        return a < b
+    if t.k != u.k:
+        return t.k < u.k
+    if t.mu != u.mu:
+        return ref_partition_lt(t.mu, u.mu)
+    return ref_partition_prec(t.lam, u.lam)
+
+
+def ref_monomial_cmp(a, b):
+    ta, tb = a.triple, b.triple
+    if ta != tb:
+        return -1 if ref_triple_prec(ta, tb) else 1
+    if a.r != b.r:
+        return -1 if a.r < b.r else 1
+    return 0
+
+
+REF_MONOMIAL_KEY = functools.cmp_to_key(ref_monomial_cmp)
+
 
 POOL = [(0, 1), (0, 2), (0, 3), (1, -2), (1, 0), (1, 1), (2, -1)]
 
@@ -150,3 +204,44 @@ def test_json_round_trips():
     assert Partition.from_json(p.to_json()) == p
     t = Triple(p, Partition([(0, 3)]), 2)
     assert Triple.from_json(t.to_json()) == t
+
+
+# lex-positive weights of both signs in the second coordinate
+weights = st.one_of(
+    st.tuples(st.just(0), st.integers(1, 3)),
+    st.tuples(st.integers(1, 2), st.integers(-3, 3)),
+)
+partitions = st.lists(weights, max_size=4).map(Partition)
+triples = st.builds(Triple, partitions, partitions, st.integers(0, 2))
+monomials = st.builds(BasisMonomial, partitions, partitions, st.integers(0, 2), st.integers(0, 2))
+deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=500)
+
+
+@deterministic
+@given(partitions, partitions)
+def test_partition_keys_match_the_reference(a, b):
+    assert partition_lt(a, b) == ref_partition_lt(a, b)
+    assert partition_prec(a, b) == ref_partition_prec(a, b)
+
+
+@deterministic
+@given(triples, triples)
+def test_triple_key_matches_the_reference(t, u):
+    assert triple_prec(t, u) == ref_triple_prec(t, u)
+    assert triple_preceq(t, u) == (t == u or ref_triple_prec(t, u))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(monomials, max_size=12))
+def test_terms_order_matches_the_reference(monos):
+    v = ModuleVector({m: 1 for m in monos})
+    assert [m for m, _ in v.terms()] == sorted(set(monos), key=REF_MONOMIAL_KEY)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.lists(weights, min_size=1, max_size=4), st.integers(1, 2), st.integers(-2, 4),
+       st.integers(1, 3))
+def test_basis_order_matches_the_reference(entries, cap0, cap1, lmax):
+    trunc = Truncation((cap0, cap1), entries, kmax=1, rmax=1, lmax=lmax)
+    basis = trunc.basis()
+    assert basis == sorted(basis, key=REF_MONOMIAL_KEY)

@@ -28,3 +28,26 @@ def test_library_is_stdlib_only():
             if top != "whitmod" and top not in sys.stdlib_module_names:
                 foreign.append((name, module))
     assert not foreign
+
+
+def _bound_imports(tree):
+    """Names bound by the module's imports, __future__ left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_every_imported_name_is_used():
+    files = sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py")
+    assert "cli.py" in files
+    unused = []
+    for name in files:
+        with open(os.path.join(SRC, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(name, bound) for bound in _bound_imports(tree) if bound not in used]
+    assert not unused
