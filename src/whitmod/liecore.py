@@ -194,14 +194,22 @@ def d(i: int, alpha, coeff=1) -> LieElt:
 def generator_bracket(f, g) -> dict:
     """[d_i(a), d_j(b)] = b_i d_j(a+b) - a_j d_i(a+b) as {(index, weight): int}.
 
-    f and g are (i, a) and (j, b); zero coefficients are left out.
+    f and g are (i, a) and (j, b); the two terms merge when i == j, and
+    zero coefficients are left out.  Straightening calls this once per
+    swap of two factors, so it is written without loops.
     """
     i, a = f
     j, b = g
     s = weight_add(a, b)
-    out = {(j, s): b[i - 1]}
-    out[(i, s)] = out.get((i, s), 0) - a[j - 1]
-    return {key: c for key, c in out.items() if c}
+    if i == j:
+        c = b[i - 1] - a[i - 1]
+        return {(i, s): c} if c else {}
+    out = {}
+    if b[i - 1]:
+        out[(j, s)] = b[i - 1]
+    if a[j - 1]:
+        out[(i, s)] = -a[j - 1]
+    return out
 
 
 def bracket(x: LieElt, y: LieElt) -> LieElt:
