@@ -239,32 +239,32 @@ def _vector_json(**fields):
     return json.dumps({"terms": [term]})
 
 
-@pytest.mark.parametrize("argv", [
-    ["nf", _vector_json(k=-1)],
-    ["nf", _vector_json(r=-1)],
-], ids=["negative-k", "negative-r"])
-def test_negative_count_in_json_is_a_parse_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("parse error: ") and err.count("\n") == 1
-
-
 def _refuse_to_compute(*args):
     raise AssertionError("an exponent over the bound reached the arithmetic")
 
 
 HUGE_EXPONENT = {"monomials": [{"e": [10 ** 9, 0, 0], "num": "1", "den": "1"}]}
+RANK3 = json.dumps(d(1, (0, 1, 0)).to_json())
+RANK3_OTHER = json.dumps(d(3, (1, 0, -1)).to_json())
+
+MALFORMED = {
+    "negative-k": ["nf", _vector_json(k=-1)],
+    "negative-r": ["nf", _vector_json(r=-1)],
+    "exponent-text": ["nf", "s1^100000000 * w"],
+    "exponent-text-in-poly": ["nf", "(1 + s2^%d) * w" % (MAX_EXPONENT + 1)],
+    "exponent-json": ["nf", _vector_json(coeff=HUGE_EXPONENT)],
+    "exponent-json-specialized": ["reduce", _vector_json(coeff=HUGE_EXPONENT),
+                                  "--psi", "1,2,3"],
+    "rank-act": ["act", RANK3, "w"],
+    "rank-quotient-act": ["quotient-act", RANK3, "w", "--a", "2", "--psi", "1,2,3"],
+    "rank-bracket": ["bracket", "d1(0,1)", RANK3],
+}
 
 
-@pytest.mark.parametrize("argv", [
-    ["nf", "s1^100000000 * w"],
-    ["nf", "(1 + s2^%d) * w" % (MAX_EXPONENT + 1)],
-    ["nf", _vector_json(coeff=HUGE_EXPONENT)],
-    ["reduce", _vector_json(coeff=HUGE_EXPONENT), "--psi", "1,2,3"],
-], ids=["text", "text-in-poly", "json", "json-specialized"])
-def test_exponent_over_the_bound_is_a_parse_error(capsys, monkeypatch, argv):
-    # were the bound missing, these would fail at once instead of running on
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_a_parse_error(capsys, monkeypatch, argv):
+    # were an exponent bound missing, its case would fail at once
+    # instead of running on
     monkeypatch.setattr(Scalar, "__pow__", _refuse_to_compute)
     monkeypatch.setattr(Scalar, "specialize", _refuse_to_compute)
     code, out, err = run(capsys, *argv)
@@ -277,22 +277,6 @@ def test_exponent_at_the_bound_is_accepted(capsys):
     code, out, _ = run(capsys, "nf", "s3^%d * w" % MAX_EXPONENT)
     assert code == 0
     assert out.strip() == "s3^%d * w" % MAX_EXPONENT
-
-
-RANK3 = json.dumps(d(1, (0, 1, 0)).to_json())
-RANK3_OTHER = json.dumps(d(3, (1, 0, -1)).to_json())
-
-
-@pytest.mark.parametrize("argv", [
-    ["act", RANK3, "w"],
-    ["quotient-act", RANK3, "w", "--a", "2", "--psi", "1,2,3"],
-    ["bracket", "d1(0,1)", RANK3],
-], ids=["act", "quotient-act", "bracket"])
-def test_operator_of_the_wrong_rank_is_a_parse_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
 def test_bracket_of_two_rank_three_operators(capsys):
