@@ -1,7 +1,10 @@
-"""`whit verify` and `whit reduce` print exactly what their golden files record.
+"""`whit verify`, `whit reduce`, `whit wvectors` and `whit ideal` print
+exactly what their golden files record.
 
-The files were recorded before the rule table and the reduction dispatch
-were rewritten, so they pin that the rewrite changed no output byte.
+The verify and reduce files were recorded before the rule table and the
+reduction dispatch were rewritten, the wvectors and ideal files before
+the slice span and the echelon moved to integer rows, so they pin that
+those rewrites changed no output byte.
 """
 
 import json
@@ -28,6 +31,17 @@ REDUCE = [
     "d1(0,-2) w + d2(0,-1) d1(0,-1) w",
     "d1(0,-1) d1(0,-1) w + d2(0,-1) w",
 ]
+# README's slices; the second type is rational, so its rows carry
+# denominators before they are cleared
+WVECTORS = ["wvectors", "--cap", "0,2", "--entries", "0,1;0,2", "--kmax", "2", "--rmax", "2"]
+IDEAL_SLICE = ["--cap", "0,3", "--entries", "0,1;0,2", "--kmax", "2", "--rmax", "5"]
+COMMANDS = {
+    "wvectors_psi123": WVECTORS + ["--psi", "1,2,3"],
+    "wvectors_rational": WVECTORS + ["--psi", "1/2,-2/3,3"],
+    "ideal_readme": ["ideal", "d1(0,-1) z w - 2 * d1(0,-1) w"] + IDEAL_SLICE + ["--psi", "1,2,3"],
+    "ideal_rational": ["ideal", "d1(0,-1) z^2 w - 1/4 * d1(0,-1) w", "z^2 w + z w - 3/4 * w"]
+    + IDEAL_SLICE + ["--psi", "1/2,-2/3,3"],
+}
 REDUCTION_RULES = {"3.7", "3.8.1", "3.8.2", "3.9", "3.10", "3.11.1", "3.11.2", "3.11.3"}
 
 
@@ -51,3 +65,10 @@ def test_reduce_golden(capsys):
     rules = {step["rule"] for line in out.splitlines()
              for step in json.loads(line)["transcript"]["steps"]}
     assert rules == REDUCTION_RULES
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_golden(capsys, name, fmt):
+    assert main(COMMANDS[name] + ["--format", "text" if fmt == "txt" else "json"]) == 0
+    assert capsys.readouterr().out == _golden("%s.%s" % (name, fmt))
