@@ -221,7 +221,10 @@ class Scalar:
     def from_json(data: dict) -> "Scalar":
         terms = {}
         for mono in data["monomials"]:
-            e = tuple(int(x) for x in mono["e"])
+            e = mono["e"]
+            if not (isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e)):
+                raise ValueError("an exponent list needs exactly three integers, got %r" % (e,))
+            e = tuple(e)
             if max(e, default=0) > MAX_EXPONENT:
                 raise ValueError("exponent %d exceeds the bound %d" % (max(e), MAX_EXPONENT))
             terms[e] = terms.get(e, Fraction(0)) + Fraction(int(mono["num"]), int(mono["den"]))

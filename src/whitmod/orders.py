@@ -106,6 +106,9 @@ class Partition:
 
     @staticmethod
     def from_json(data) -> "Partition":
+        for e in data:
+            if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+                raise ValueError("a partition entry needs exactly two integers, got %r" % (e,))
         return Partition(tuple(e) for e in data)
 
 

@@ -243,7 +243,11 @@ def _refuse_to_compute(*args):
     raise AssertionError("an exponent over the bound reached the arithmetic")
 
 
-HUGE_EXPONENT = {"monomials": [{"e": [10 ** 9, 0, 0], "num": "1", "den": "1"}]}
+def _exponents(e):
+    return {"monomials": [{"e": e, "num": "1", "den": "1"}]}
+
+
+HUGE_EXPONENT = _exponents([10 ** 9, 0, 0])
 RANK3 = json.dumps(d(1, (0, 1, 0)).to_json())
 RANK3_OTHER = json.dumps(d(3, (1, 0, -1)).to_json())
 
@@ -255,6 +259,10 @@ MALFORMED = {
     "exponent-json": ["nf", _vector_json(coeff=HUGE_EXPONENT)],
     "exponent-json-specialized": ["reduce", _vector_json(coeff=HUGE_EXPONENT),
                                   "--psi", "1,2,3"],
+    "short-exponent-list": ["nf", _vector_json(coeff=_exponents([1]))],
+    "long-exponent-list": ["nf", _vector_json(coeff=_exponents([0, 0, 0, 5]))],
+    "short-partition-entry": ["nf", _vector_json(**{"lambda": [[0]]})],
+    "long-partition-entry": ["nf", _vector_json(**{"lambda": [[0, 1, 7]]})],
     "rank-act": ["act", RANK3, "w"],
     "rank-quotient-act": ["quotient-act", RANK3, "w", "--a", "2", "--psi", "1,2,3"],
     "rank-bracket": ["bracket", "d1(0,1)", RANK3],
