@@ -33,9 +33,11 @@ polynomials in the three type values, and all comparisons are equality.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .coeff import (
+    ONE,
     Scalar,
     ZPoly,
     PsiSpec,
@@ -67,7 +69,6 @@ from .wmod import (
     NonDescent,
     _monomial_key,
     _raw_vector,
-    basis_vector,
     act,
     in_filtration,
     weight_box,
@@ -238,11 +239,56 @@ class Truncation:
 # exact linear algebra
 
 
-class _SparseEchelon:
-    """Sparse rational rows in echelon form, one per pivot column.
+def _primitive(row):
+    """A new row: row's entries scaled to coprime ints.
 
-    Rows are dicts column->Fraction.  Every held row is normalized to 1
-    at its pivot, which is its smallest column.
+    The entries may be ints or Fractions; the zero row stays empty.
+    """
+    den = lcm(*(v.denominator for v in row.values()))
+    out = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    g = gcd(*out.values())
+    if g > 1:
+        for c in out:
+            out[c] //= g
+    return out
+
+
+def _eliminate(row, lead, prow):
+    """Clear column lead of the int row in place, with the int pivot row prow.
+
+    Fraction-free (Bareiss 1968): row becomes (b row - a prow) / gcd(a, b)
+    for a = row[lead], b = prow[lead], then its content is divided out.
+    That is a nonzero multiple of the Fraction step row - (a/b) prow, so
+    the rows an elimination reaches are the same up to scale.
+    """
+    a = row.pop(lead)
+    b = prow[lead]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if b != 1:
+        for c in row:
+            row[c] *= b
+    for c, v in prow.items():
+        if c == lead:
+            continue
+        nv = row.get(c, 0) - a * v
+        if nv:
+            row[c] = nv
+        else:
+            row.pop(c, None)
+    g = gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
+
+
+class _SparseEchelon:
+    """Sparse exact rows in echelon form, one per pivot column.
+
+    Rows come in as dicts column -> int or Fraction and are held as
+    primitive int rows, each with its smallest column as pivot;
+    elimination is fraction-free (see _eliminate).
     """
 
     __slots__ = ("pivots",)
@@ -253,52 +299,35 @@ class _SparseEchelon:
     def insert(self, row):
         """Reduce row against the pivots.
 
-        Returns the normalized new pivot row, or None if row depends on
-        the rows already held.  The argument is left unchanged.
+        Returns the new pivot row normalized to 1 at its pivot, with
+        Fraction entries, or None if row depends on the rows already
+        held.  The argument is left unchanged.
         """
         pivots = self.pivots
-        row = dict(row)
+        row = _primitive(row)
         while row:
             lead = min(row)
             prow = pivots.get(lead)
             if prow is None:
-                inv = Fraction(1) / row[lead]
-                row = {c: v * inv for c, v in row.items()}
                 pivots[lead] = row
-                return row
-            f = row.pop(lead)
-            for c, v in prow.items():
-                if c == lead:
-                    continue
-                nv = row.get(c, 0) - f * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
+                top = row[lead]
+                return {c: Fraction(v, top) for c, v in row.items()}
+            _eliminate(row, lead, prow)
         return None
 
     def nullspace(self, ncols):
         """Basis of the nullspace over columns 0..ncols-1.
 
-        One dict per free column, normalized so the free coordinate is 1.
-        Back substitution reduces the held rows in place, so this is the
-        last call on the echelon.
+        One dict of Fractions per free column, normalized so the free
+        coordinate is 1.  Back substitution reduces the held rows in
+        place, so this is the last call on the echelon.
         """
         pivots = self.pivots
         for lead in sorted(pivots, reverse=True):
             prow = pivots[lead]
             for other, orow in pivots.items():
-                if other >= lead or lead not in orow:
-                    continue
-                f = orow.pop(lead)
-                for c, v in prow.items():
-                    if c == lead:
-                        continue
-                    nv = orow.get(c, 0) - f * v
-                    if nv:
-                        orow[c] = nv
-                    else:
-                        orow.pop(c, None)
+                if other < lead and lead in orow:
+                    _eliminate(orow, lead, prow)
         basis = []
         for col in range(ncols):
             if col in pivots:
@@ -307,9 +336,83 @@ class _SparseEchelon:
             for lead, prow in pivots.items():
                 v = prow.get(col)
                 if v:
-                    vec[lead] = -v
+                    vec[lead] = Fraction(-v, prow[lead])
             basis.append(vec)
         return basis
+
+
+def _exact(s: Scalar):
+    """A rational Scalar as an int when it is integral, else as a Fraction."""
+    q = s.as_fraction()
+    return q.numerator if q.denominator == 1 else q
+
+
+class _SliceOperators:
+    """The operators a slice computation applies, with their images.
+
+    ``monos`` is the slice basis in canonical order and ``index`` maps a
+    monomial to its column.  ``ops`` holds the operators: first the
+    ``raising`` ones d_i(alpha) for alpha in the induced box, then the
+    lowering d_i(-e) for e in the entry pool, then h2 and z.
+
+    ``image(o, j)`` is ops[o] applied to monos[j] as a pair of rows
+    {column: coefficient}: the part inside the slice, and the part
+    outside it.  Monomials outside the slice get the columns from
+    len(monos) on, in the order the table meets them.  Coefficients are
+    ints when integral and Fractions otherwise.  Each image is computed
+    once, on first use, and kept for the life of the table: at most
+    len(ops) * len(monos) images.
+    """
+
+    def __init__(self, trunc: Truncation, spec: PsiSpec):
+        self.monos = trunc.basis()
+        self.index = {m: j for j, m in enumerate(self.monos)}
+        self.ops = [d(i, alpha) for alpha in trunc.induced_box() for i in (1, 2)]
+        self.raising = len(self.ops)
+        self.ops += [d(i, (-e[0], -e[1])) for e in trunc.entries for i in (1, 2)]
+        self.ops += [d(2, (0, 0)), d(1, (0, 0))]
+        self._spec = spec
+        self._outer = {}
+        self._images = [[None] * len(self.monos) for _ in self.ops]
+
+    def image(self, o, j):
+        img = self._images[o][j]
+        if img is None:
+            inside, outside = {}, {}
+            index, outer = self.index, self._outer
+            v = _raw_vector({self.monos[j]: ONE})
+            for m, c in act(self.ops[o], v, self._spec)._terms.items():
+                col = index.get(m)
+                if col is not None:
+                    inside[col] = _exact(c)
+                else:
+                    col = outer.setdefault(m, len(self.monos) + len(outer))
+                    outside[col] = _exact(c)
+            img = self._images[o][j] = (inside, outside)
+        return img
+
+    def apply(self, o, row):
+        """ops[o] applied to the slice vector row {column: coefficient}.
+
+        Returns the image inside the slice, or None when the part outside
+        does not cancel exactly.
+        """
+        images = self._images[o]
+        terms = []
+        for j, c in row.items():
+            img = images[j]
+            terms.append((img if img is not None else self.image(o, j), c))
+        leaving = {}
+        for (_, outside), c in terms:
+            for col, v in outside.items():
+                leaving[col] = leaving.get(col, 0) + c * v
+        if any(leaving.values()):
+            return None
+        out = {}
+        for (inside, _), c in terms:
+            for col, v in inside.items():
+                out[col] = out.get(col, 0) + c * v
+        return {col: v for col, v in out.items() if v}
 
 
 def whittaker_space(trunc: Truncation, spec: PsiSpec):
@@ -328,29 +431,26 @@ def whittaker_space(trunc: Truncation, spec: PsiSpec):
     """
     if spec.is_symbolic():
         raise SingularPsi("whittaker_space needs a specialized nonsingular type")
-    monos = trunc.basis()
-    ops = []
-    for alpha in trunc.induced_box():
-        for i in (1, 2):
-            gen = d(i, alpha)
-            ops.append((i, alpha, gen, psi_eval(gen, spec).as_fraction()))
-    # rows[(i, alpha, m)][j]: coefficient of m in (x - psi(x)) monos[j]
+    table = _SliceOperators(trunc, spec)
+    values = [_exact(psi_eval(x, spec)) for x in table.ops[:table.raising]]
+    # rows[(o, col)][j]: coefficient of the table's column col in
+    # (x - psi(x)) monos[j] for x = ops[o]
     rows = {}
-    for j, mono in enumerate(monos):
-        v = basis_vector(mono.lam, mono.mu, mono.k, mono.r)
-        for i, alpha, gen, value in ops:
-            for m, c in act(gen, v, spec)._terms.items():
-                rows.setdefault((i, alpha, m), {})[j] = c.as_fraction()
+    for j in range(len(table.monos)):
+        for o, value in enumerate(values):
+            for part in table.image(o, j):
+                for col, c in part.items():
+                    rows.setdefault((o, col), {})[j] = c
             if value:
-                add_term(rows.setdefault((i, alpha, mono), {}), j, -value)
+                add_term(rows.setdefault((o, j), {}), j, -value)
     echelon = _SparseEchelon()
     for row in sorted(rows.values(), key=len):
         echelon.insert(row)
     space = []
-    for vec in echelon.nullspace(len(monos)):
+    for vec in echelon.nullspace(len(table.monos)):
         terms = {}
         for col, q in vec.items():
-            terms[monos[col]] = Scalar.rational(q)
+            terms[table.monos[col]] = Scalar.rational(q)
         space.append(_raw_vector(terms))
     return space
 
@@ -531,34 +631,36 @@ def simplicity_probe(v: ModuleVector, a, spec: PsiSpec) -> Scalar:
 def _slice_span(seeds, trunc: Truncation, spec: PsiSpec):
     """Echelonized spanning set of the operator closure inside the slice.
 
-    Breadth-first from the in-slice seeds; operator images leaving the
-    slice are dropped, so the result is sound but only slice-complete.
+    The spin-up of Parker's Meat-Axe (1984) over the slice's image
+    table: breadth-first from the in-slice seeds, each kept raw row is
+    mapped by every operator and the images that add a new direction
+    are kept in turn.  Images leaving the slice are dropped, so the
+    result is sound but only slice-complete.  Returns the new echelon
+    rows, normalized, as vectors in the order they were found.
     """
-    monos = trunc.basis()
-    index = {m: j for j, m in enumerate(monos)}
-    ops = [d(i, alpha) for alpha in trunc.induced_box() for i in (1, 2)]
-    ops += [d(i, (-e[0], -e[1])) for e in trunc.entries for i in (1, 2)]
-    ops += [d(2, (0, 0)), d(1, (0, 0))]
-
-    # breadth-first over the raw operator images; they stay sparse, while
-    # the echelon rows (kept only to detect new directions) fill in
+    table = _SliceOperators(trunc, spec)
+    monos = table.monos
+    ops = range(len(table.ops))
+    # the raw images stay sparse, while the echelon rows (kept only to
+    # detect new directions) fill in
     echelon = _SparseEchelon()
     queue = []
     spanned = []
-    candidates = seeds
+    candidates = [{table.index[m]: _exact(c) for m, c in vec._terms.items()}
+                  for vec in seeds if vec and trunc.contains_vector(vec)]
     while True:
-        for vec in candidates:
-            if not vec or not trunc.contains_vector(vec):
+        for row in candidates:
+            if not row:
                 continue
-            row = echelon.insert({index[m]: c.as_fraction() for m, c in vec._terms.items()})
-            if row is not None:
-                queue.append(vec)
+            new = echelon.insert(row)
+            if new is not None:
+                queue.append(row)
                 spanned.append(_raw_vector({monos[c]: Scalar.rational(q)
-                                            for c, q in row.items()}))
+                                            for c, q in new.items()}))
         if not queue:
             return spanned
         cur = queue.pop()
-        candidates = [act(op, cur, spec) for op in ops]
+        candidates = [table.apply(o, cur) for o in ops]
 
 
 def submodule_generator(gens, trunc: Truncation, spec: PsiSpec) -> ZPoly:

@@ -417,7 +417,7 @@ class WhittakerCheck(NamedTuple):
 
 
 def default_weight_box(v: ModuleVector):
-    """Finite family of positive weights large enough to refute v.
+    """Finite family of positive weights to test v against, sized from v.
 
     Budgets come from component totals across the support: M1 sums the
     first components of the weight sums, M2 the absolute second
@@ -442,9 +442,10 @@ def is_whittaker(v: ModuleVector, psi: PsiSpec = SYMBOLIC, box=None) -> Whittake
     """Test whether every positive generator acts on v by its type value.
 
     Checks the defect act(d_i(alpha), v) - psi(d_i(alpha)) * v over the
-    sample box (the derived default is large enough that a pass certifies
-    the property; see default_weight_box).  A refutation returns the first
-    witness in scan order: alpha ascending lex, then i.
+    sample box only, so a refutation is exact but a pass is evidence, not
+    proof: no bound is proven that makes the derived default (see
+    default_weight_box) cover every positive generator.  A refutation
+    returns the first witness in scan order: alpha ascending lex, then i.
     """
     if box is None:
         box = default_weight_box(v)

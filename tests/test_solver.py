@@ -16,6 +16,7 @@ from whitmod.solver import (
     RuleContext,
     Truncation,
     _SparseEchelon,
+    _slice_span,
     quotient_act,
     quotient_project,
     random_instance,
@@ -25,7 +26,15 @@ from whitmod.solver import (
     verify_lemma,
     whittaker_space,
 )
-from whitmod.wmod import ZeroVector, act, act_word, basis_vector, is_whittaker, w_vector
+from whitmod.wmod import (
+    ModuleVector,
+    ZeroVector,
+    act,
+    act_word,
+    basis_vector,
+    is_whittaker,
+    w_vector,
+)
 
 S1, S2, S3 = (Scalar.generator(j) for j in (1, 2, 3))
 PSI123 = PsiSpec.of(1, 2, 3)
@@ -89,27 +98,36 @@ def test_truncation_json_round_trip():
 # sparse exact elimination
 
 
+def _reference_insert(pivots, row):
+    """Reference: the library's former Fraction insert.
+
+    Returns a copy of the normalized new pivot row, or None."""
+    row = dict(row)
+    while row:
+        lead = min(row)
+        prow = pivots.get(lead)
+        if prow is None:
+            inv = Fraction(1) / row[lead]
+            pivots[lead] = {c: v * inv for c, v in row.items()}
+            return dict(pivots[lead])
+        f = row.pop(lead)
+        for c, v in prow.items():
+            if c == lead:
+                continue
+            nv = row.get(c, Fraction(0)) - f * v
+            if nv:
+                row[c] = nv
+            else:
+                row.pop(c, None)
+    return None
+
+
 def _rref_nullspace(rows, ncols):
-    """Reference: the library's former elimination, rows in the given order."""
+    """Reference: the library's former elimination, rows in the given order.
+
+    Returns what each insert returned, and the nullspace basis."""
     pivots = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            prow = pivots.get(lead)
-            if prow is None:
-                inv = Fraction(1) / row[lead]
-                pivots[lead] = {c: v * inv for c, v in row.items()}
-                break
-            f = row.pop(lead)
-            for c, v in prow.items():
-                if c == lead:
-                    continue
-                nv = row.get(c, Fraction(0)) - f * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
+    inserted = [_reference_insert(pivots, row) for row in rows]
     for lead in sorted(pivots, reverse=True):
         prow = pivots[lead]
         for other, orow in pivots.items():
@@ -134,12 +152,12 @@ def _rref_nullspace(rows, ncols):
             if v:
                 vec[lead] = -v
         basis.append(vec)
-    return basis
+    return inserted, basis
 
 
 def _dense_rank(rows, ncols):
     """Rank by textbook dense elimination, independent of both sparse codes."""
-    mat = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+    mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
     rank = 0
     for col in range(ncols):
         pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
@@ -151,13 +169,6 @@ def _dense_rank(rows, ncols):
             mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
-
-
-def _echelon_nullspace(rows, ncols):
-    echelon = _SparseEchelon()
-    for row in rows:
-        echelon.insert(row)
-    return echelon.nullspace(ncols)
 
 
 _entries = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
@@ -178,6 +189,9 @@ def sparse_matrices(draw):
         s, t = draw(_entries), draw(_entries)
         comb = {c: s * a.get(c, 0) + t * b.get(c, 0) for c in set(a) | set(b)}
         rows.append({c: q for c, q in comb.items() if q})
+    # some rows carry their integral entries as ints, as the slice span's do
+    rows = [{c: int(q) if q.denominator == 1 else q for c, q in r.items()}
+            if draw(st.booleans()) else r for r in rows]
     return ncols, rows, draw(st.permutations(rows))
 
 
@@ -185,9 +199,15 @@ def sparse_matrices(draw):
 @given(sparse_matrices())
 def test_sparse_echelon_matches_reference(matrix):
     ncols, rows, shuffled = matrix
-    expected = _rref_nullspace(rows, ncols)
-    assert _echelon_nullspace(sorted(rows, key=len), ncols) == expected
-    assert _echelon_nullspace(shuffled, ncols) == expected
+    _, expected = _rref_nullspace(rows, ncols)
+    for order in (sorted(rows, key=len), shuffled):
+        given_rows = [dict(row) for row in order]
+        inserted, _ = _rref_nullspace(order, ncols)
+        echelon = _SparseEchelon()
+        # the slice span keeps exactly these returned rows
+        assert [echelon.insert(row) for row in order] == inserted
+        assert echelon.nullspace(ncols) == expected
+        assert order == given_rows
     # exact certificate: a basis of the nullspace, with free coordinates 1
     assert len(expected) == ncols - _dense_rank(rows, ncols)
     free = [max(vec) for vec in expected]
@@ -209,6 +229,20 @@ def test_sparse_echelon_insert():
     assert echelon.insert({2: Fraction(1), 3: Fraction(1)}) == {3: Fraction(1), 4: Fraction(1, 3)}
     assert echelon.nullspace(5) == [
         {0: Fraction(1)}, {1: Fraction(1)}, {4: Fraction(1), 2: Fraction(1, 3), 3: Fraction(-1, 3)}]
+
+
+def test_sparse_echelon_never_holds_its_argument():
+    # an already primitive int row is a copy away from being held as is;
+    # the slice span queues the very dict it inserts
+    echelon = _SparseEchelon()
+    first = {0: 1, 2: -3}
+    assert echelon.insert(first) == {0: Fraction(1), 2: Fraction(-3)}
+    second = {0: 2, 1: 5}
+    assert echelon.insert(second) == {1: Fraction(1), 2: Fraction(6, 5)}
+    assert echelon.insert({1: 5, 2: 6}) is None
+    assert echelon.nullspace(3) == [{2: Fraction(1), 0: Fraction(3), 1: Fraction(-6, 5)}]
+    assert first == {0: 1, 2: -3}
+    assert second == {0: 2, 1: 5}
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +398,55 @@ def test_simplicity_probe_random_nonzero():
 
 # ---------------------------------------------------------------------------
 # submodule generators
+
+
+def _reference_slice_span(seeds, trunc, spec):
+    """Reference: the library's former _slice_span.
+
+    It acts on whole vectors with the public act, tests slice membership
+    with the truncation and eliminates over Fractions."""
+    monos = trunc.basis()
+    index = {m: j for j, m in enumerate(monos)}
+    ops = [d(i, alpha) for alpha in trunc.induced_box() for i in (1, 2)]
+    ops += [d(i, (-e[0], -e[1])) for e in trunc.entries for i in (1, 2)]
+    ops += [d(2, (0, 0)), d(1, (0, 0))]
+    pivots = {}
+    queue = []
+    spanned = []
+    candidates = seeds
+    while True:
+        for vec in candidates:
+            if not vec or not trunc.contains_vector(vec):
+                continue
+            row = _reference_insert(pivots, {index[m]: c.as_fraction()
+                                             for m, c in vec._terms.items()})
+            if row is not None:
+                queue.append(vec)
+                spanned.append(ModuleVector({monos[c]: q for c, q in row.items()}))
+        if not queue:
+            return spanned
+        cur = queue.pop()
+        candidates = [act(op, cur, spec) for op in ops]
+
+
+SPAN_SLICES = [SMALL, Truncation((1, 1), [(0, 1), (1, -1), (1, 0)], kmax=1, rmax=1, lmax=2)]
+SPAN_TYPES = [PSI123, PsiSpec.of(-1, 3, -2),
+              PsiSpec.of(Fraction(1, 2), Fraction(-2, 3), 3), PsiSpec.of(2, Fraction(5, 4), -1)]
+span_seeds = st.lists(
+    st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=2),
+              st.lists(st.sampled_from(WORD_POOL), max_size=2)),
+    min_size=1, max_size=2)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(span_seeds, st.sampled_from(SPAN_SLICES), st.sampled_from(SPAN_TYPES))
+def test_slice_span_matches_reference(seed_data, trunc, spec):
+    # each seed is a word applied to a small z-polynomial times w
+    seeds = [act_word(word, sum((basis_vector(r=r, coeff=c) for r, c in enumerate(coeffs)),
+                                ModuleVector()), spec)
+             for coeffs, word in seed_data]
+    assume(any(v and trunc.contains_vector(v) for v in seeds))
+    assert _slice_span(seeds, trunc, spec) == _reference_slice_span(seeds, trunc, spec)
 
 
 def test_submodule_generator_principal():
