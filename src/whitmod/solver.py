@@ -397,6 +397,8 @@ class _SliceOperators:
         Returns the image inside the slice, or None when the part outside
         does not cancel exactly.
         """
+        # the cached images are read inline, not through image(): this
+        # loop runs for every term of every candidate
         images = self._images[o]
         terms = []
         for j, c in row.items():
