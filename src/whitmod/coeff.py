@@ -227,7 +227,10 @@ class Scalar:
             e = tuple(e)
             if max(e, default=0) > MAX_EXPONENT:
                 raise ValueError("exponent %d exceeds the bound %d" % (max(e), MAX_EXPONENT))
-            terms[e] = terms.get(e, Fraction(0)) + Fraction(int(mono["num"]), int(mono["den"]))
+            den = int(mono["den"])
+            if den == 0:
+                raise ValueError("a coefficient has the denominator 0")
+            terms[e] = terms.get(e, Fraction(0)) + Fraction(int(mono["num"]), den)
         return Scalar(terms)
 
 
@@ -292,7 +295,7 @@ class PsiSpec:
     assumes a nonsingular type.
     """
 
-    __slots__ = ("values", "_hash")
+    __slots__ = ("values",)
 
     def __init__(self, values=None):
         if values is not None:
@@ -302,8 +305,6 @@ class PsiSpec:
             if any(v == 0 for v in values):
                 raise SingularPsi("type values must all be nonzero, got %s" % (values,))
         object.__setattr__(self, "values", values)
-        # every act-cache lookup hashes the type, so hash the values once
-        object.__setattr__(self, "_hash", hash(("PsiSpec", values)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PsiSpec is immutable")
@@ -331,7 +332,7 @@ class PsiSpec:
         return self.values == other.values
 
     def __hash__(self):
-        return self._hash
+        return hash(("PsiSpec", self.values))
 
     def __str__(self):
         if self.values is None:

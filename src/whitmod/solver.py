@@ -32,6 +32,8 @@ Everything is exact: coefficients are rationals or integer-coefficient
 polynomials in the three type values, and all comparisons are equality.
 """
 
+import functools
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
@@ -138,11 +140,16 @@ class Truncation:
         self.rmax = rmax
         self.lmax = lmax
 
+    def _key(self):
+        return (self.cap, self.entries, self.kmax, self.rmax, self.lmax)
+
     def __eq__(self, other):
         if not isinstance(other, Truncation):
             return NotImplemented
-        return (self.cap, self.entries, self.kmax, self.rmax, self.lmax) == (
-            other.cap, other.entries, other.kmax, other.rmax, other.lmax)
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self):
         return "Truncation(cap=%r, entries=%r, kmax=%d, rmax=%d, lmax=%r)" % (
@@ -357,11 +364,17 @@ class _SliceOperators:
 
     ``image(o, j)`` is ops[o] applied to monos[j] as a pair of rows
     {column: coefficient}: the part inside the slice, and the part
-    outside it.  Monomials outside the slice get the columns from
-    len(monos) on, in the order the table meets them.  Coefficients are
-    ints when integral and Fractions otherwise.  Each image is computed
-    once, on first use, and kept for the life of the table: at most
-    len(ops) * len(monos) images.
+    outside it.  Monomials outside the slice get distinct columns from
+    len(monos) on, drawn from a counter, so threads filling one table
+    never give two monomials the same column.  Coefficients are ints
+    when integral and Fractions otherwise.  Each image is computed once,
+    on first use, and kept for the life of the table.
+
+    This table is the only memo of module images (act caches nothing).
+    Tables come from _slice_table, which keeps the last one, so
+    back-to-back calls on one slice and type share it: at most
+    len(ops) * len(monos) images are held, and they are released when a
+    call on another slice or type replaces the table.
     """
 
     def __init__(self, trunc: Truncation, spec: PsiSpec):
@@ -373,6 +386,7 @@ class _SliceOperators:
         self.ops += [d(2, (0, 0)), d(1, (0, 0))]
         self._spec = spec
         self._outer = {}
+        self._fresh = itertools.count(len(self.monos))
         self._images = [[None] * len(self.monos) for _ in self.ops]
 
     def image(self, o, j):
@@ -386,7 +400,7 @@ class _SliceOperators:
                 if col is not None:
                     inside[col] = _exact(c)
                 else:
-                    col = outer.setdefault(m, len(self.monos) + len(outer))
+                    col = outer.setdefault(m, next(self._fresh))
                     outside[col] = _exact(c)
             img = self._images[o][j] = (inside, outside)
         return img
@@ -417,6 +431,13 @@ class _SliceOperators:
         return {col: v for col, v in out.items() if v}
 
 
+@functools.lru_cache(maxsize=1)
+def _slice_table(trunc: Truncation, spec: PsiSpec) -> _SliceOperators:
+    """The image table of the slice under the type, kept until the next
+    call asks for another slice or type."""
+    return _SliceOperators(trunc, spec)
+
+
 def whittaker_space(trunc: Truncation, spec: PsiSpec):
     """Basis of the truncated space of vectors on which every positive
     generator acts by its type value.
@@ -433,7 +454,7 @@ def whittaker_space(trunc: Truncation, spec: PsiSpec):
     """
     if spec.is_symbolic():
         raise SingularPsi("whittaker_space needs a specialized nonsingular type")
-    table = _SliceOperators(trunc, spec)
+    table = _slice_table(trunc, spec)
     values = [_exact(psi_eval(x, spec)) for x in table.ops[:table.raising]]
     # rows[(o, col)][j]: coefficient of the table's column col in
     # (x - psi(x)) monos[j] for x = ops[o]
@@ -508,15 +529,21 @@ class ReductionTranscript:
         """
         cur = quotient_project(v, a) if a is not None else v
         for step in self._steps:
-            gen = d(step.i, step.alpha)
-            for _ in range(step.exponent):
-                cur = act(gen, cur, psi) - step.psi_value * cur
-                if a is not None:
-                    cur = quotient_project(cur, a)
+            cur = _apply_step(cur, step.operator(), step.psi_value, step.exponent, psi, a)
         return cur
 
     def to_json(self) -> dict:
         return {"steps": [s.to_json() for s in self._steps]}
+
+
+def _apply_step(v: ModuleVector, gen, pv: Scalar, exponent: int, psi: PsiSpec, a):
+    """(gen - pv)^exponent applied to v; with a set, each factor's result
+    is projected through z -> a."""
+    for _ in range(exponent):
+        v = act(gen, v, psi) - pv * v
+        if a is not None:
+            v = quotient_project(v, a)
+    return v
 
 
 def _measure_of(top: Triple):
@@ -563,10 +590,7 @@ def _run_reduction(v: ModuleVector, psi: PsiSpec, a=None, max_steps=10000):
         gen = d(i, alpha)
         pv = psi_eval(gen, psi)
         before = _measure_of(ctx.deg)
-        for _ in range(expo):
-            cur = act(gen, cur, psi) - pv * cur
-            if a is not None:
-                cur = quotient_project(cur, a)
+        cur = _apply_step(cur, gen, pv, expo, psi, a)
         if not cur:
             if a is not None:
                 raise ProbeFailed("quotient reduction collapsed to zero at rule %s" % rule)
@@ -640,7 +664,7 @@ def _slice_span(seeds, trunc: Truncation, spec: PsiSpec):
     result is sound but only slice-complete.  Returns the new echelon
     rows, normalized, as vectors in the order they were found.
     """
-    table = _SliceOperators(trunc, spec)
+    table = _slice_table(trunc, spec)
     monos = table.monos
     ops = range(len(table.ops))
     # the raw images stay sparse, while the echelon rows (kept only to

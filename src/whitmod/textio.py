@@ -156,18 +156,22 @@ class _Parser:
             mono = mono * self.parse_svar()
         return mono
 
-    def parse_spoly(self) -> Scalar:
+    def _signed_sum(self, term):
+        """['-'] term (('+'|'-') term)*, each term read by term()."""
         negate = self.take("-")
-        total = self.parse_smon()
+        total = term()
         if negate:
             total = -total
         while True:
             if self.take("+"):
-                total = total + self.parse_smon()
+                total = total + term()
             elif self.take("-"):
-                total = total - self.parse_smon()
+                total = total - term()
             else:
                 return total
+
+    def parse_spoly(self) -> Scalar:
+        return self._signed_sum(self.parse_smon)
 
     def parse_coeff(self) -> Scalar:
         """A rational, a bare monomial in s1..s3, or a parenthesized scalar
@@ -225,19 +229,6 @@ class _Parser:
         i, alpha = self.parse_generator()
         return d(i, alpha, coeff)
 
-    def parse_lie(self) -> LieElt:
-        negate = self.take("-")
-        total = self.parse_lterm()
-        if negate:
-            total = -total
-        while True:
-            if self.take("+"):
-                total = total + self.parse_lterm()
-            elif self.take("-"):
-                total = total - self.parse_lterm()
-            else:
-                return total
-
     def parse_vterm(self, psi: PsiSpec) -> ModuleVector:
         coeff = self.parse_coeff() if self.at_coeff() else ONE
         word = []
@@ -257,43 +248,29 @@ class _Parser:
         self.advance()
         return coeff * act_word(word, w_vector(), psi)
 
-    def parse_vector(self, psi: PsiSpec) -> ModuleVector:
-        negate = self.take("-")
-        total = self.parse_vterm(psi)
-        if negate:
-            total = -total
-        while True:
-            if self.take("+"):
-                total = total + self.parse_vterm(psi)
-            elif self.take("-"):
-                total = total - self.parse_vterm(psi)
-            else:
-                return total
-
     def finish(self):
         if not self.at("END"):
             self.fail(("end of input",))
 
 
-def parse_lie(text: str) -> LieElt:
+def _parse_sum(text: str, term):
+    """The whole of text as a signed sum of terms, each read by term(parser)."""
     p = _Parser(text)
-    elt = p.parse_lie()
+    value = p._signed_sum(lambda: term(p))
     p.finish()
-    return elt
+    return value
+
+
+def parse_lie(text: str) -> LieElt:
+    return _parse_sum(text, _Parser.parse_lterm)
 
 
 def parse_vector(text: str, psi: PsiSpec = SYMBOLIC) -> ModuleVector:
-    p = _Parser(text)
-    vec = p.parse_vector(psi)
-    p.finish()
-    return vec
+    return _parse_sum(text, lambda p: p.parse_vterm(psi))
 
 
 def parse_scalar(text: str) -> Scalar:
-    p = _Parser(text)
-    value = p.parse_spoly()
-    p.finish()
-    return value
+    return _parse_sum(text, _Parser.parse_smon)
 
 
 def parse_psi(text: str) -> PsiSpec:

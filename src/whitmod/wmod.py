@@ -25,14 +25,15 @@ word as long as its parent's is f . w2 with w2 a full-length result of
 x . rest, and that call must be an immediate prepend (f <= w2[0]); the
 engine checks that in O(1) and raises NonDescent if it ever fails, so the
 total factor count drops at every other call and the recursion ends.
-straighten_word applies the factors of a word right to left through the
-same recursion; the action on a basis monomial is cached per
-(i, alpha, monomial, type) in _act_basis, and nothing below it is cached.
+act applies each generator of a Lie element to each monomial of a
+vector through this recursion, and straighten_word is act_word on w.
+Nothing is cached here: each call straightens afresh and holds only its
+own result.  The one memo of images is the slice table of the solver
+(solver._SliceOperators), bounded by one slice and type.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 from .coeff import (
@@ -40,7 +41,6 @@ from .coeff import (
 )
 from .liecore import (
     LieElt,
-    Weight,
     _generator_psi,
     d,
     generator_bracket,
@@ -105,9 +105,11 @@ class BasisMonomial(NamedTuple):
         mono = BasisMonomial(
             Partition.from_json(data["lambda"]),
             Partition.from_json(data["mu"]),
-            int(data["k"]),
-            int(data["r"]),
+            data["k"],
+            data["r"],
         )
+        if type(mono.k) is not int or type(mono.r) is not int:
+            raise ValueError("k and r must be integers, got k=%r, r=%r" % (mono.k, mono.r))
         if mono.k < 0 or mono.r < 0:
             raise ValueError("k and r must be non-negative, got k=%d, r=%d" % (mono.k, mono.r))
         length = len(mono.lam) + len(mono.mu) + mono.k + mono.r
@@ -336,26 +338,6 @@ def _times(x, word, coeff: Scalar, psi: PsiSpec, out: dict):
         _times(g, rest, _mul(coeff, Scalar.rational(cb)), psi, out)
 
 
-def _vector_of_words(words: dict) -> ModuleVector:
-    return _raw_vector({_monomial_of_sorted(wd): c for wd, c in words.items()})
-
-
-def straighten_word(word, psi: PsiSpec = SYMBOLIC) -> ModuleVector:
-    """Normal-order a word of (i, alpha) factors applied to w.
-
-    The factors act right to left, each by PBW left-multiplication on
-    the basis words produced so far (see the module docstring).
-    """
-    word = tuple((int(i), (int(a[0]), int(a[1]))) for i, a in word)
-    words = {(): ONE}
-    for x in reversed(word):
-        product = {}
-        for wd, c in words.items():
-            _times(x, wd, c, psi, product)
-        words = product
-    return _vector_of_words(words)
-
-
 def _monomial_word(mono: BasisMonomial):
     word = [(1, weight_neg(e)) for e in mono.lam]
     word += [(2, weight_neg(e)) for e in mono.mu]
@@ -364,26 +346,21 @@ def _monomial_word(mono: BasisMonomial):
     return tuple(word)
 
 
-@functools.lru_cache(maxsize=None)
-def _act_basis(i: int, alpha: Weight, mono: BasisMonomial, psi: PsiSpec) -> ModuleVector:
-    out = {}
-    _times((i, alpha), _monomial_word(mono), ONE, psi, out)
-    return _vector_of_words(out)
-
-
 def act(x: LieElt, v: ModuleVector, psi: PsiSpec = SYMBOLIC) -> ModuleVector:
     """Action of a Lie element on a module vector, fully straightened."""
     if x.n != 2:
         raise ValueError("the module is defined over the rank-two algebra")
-    out = {}
+    words = {}
     for (i, alpha), cx in x._terms.items():
         if cx == ONE:
             cx = ONE  # lets _mul skip the products below
         for mono, cv in v._terms.items():
+            image = {}
+            _times((i, alpha), _monomial_word(mono), ONE, psi, image)
             c = _mul(cx, cv)
-            for m, cm in _act_basis(i, alpha, mono, psi)._terms.items():
-                add_term(out, m, _mul(c, cm))
-    return _raw_vector(out)
+            for wd, cm in image.items():
+                add_term(words, wd, _mul(c, cm))
+    return _raw_vector({_monomial_of_sorted(wd): c for wd, c in words.items()})
 
 
 def act_word(word, v: ModuleVector, psi: PsiSpec = SYMBOLIC) -> ModuleVector:
@@ -391,6 +368,11 @@ def act_word(word, v: ModuleVector, psi: PsiSpec = SYMBOLIC) -> ModuleVector:
     for i, alpha in reversed(list(word)):
         v = act(d(i, alpha), v, psi)
     return v
+
+
+def straighten_word(word, psi: PsiSpec = SYMBOLIC) -> ModuleVector:
+    """Normal-order a word of (i, alpha) factors applied to w."""
+    return act_word(word, w_vector(), psi)
 
 
 def degree_of(v: ModuleVector):

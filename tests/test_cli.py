@@ -259,6 +259,10 @@ MALFORMED = {
     "exponent-json": ["nf", _vector_json(coeff=HUGE_EXPONENT)],
     "exponent-json-specialized": ["reduce", _vector_json(coeff=HUGE_EXPONENT),
                                   "--psi", "1,2,3"],
+    "zero-denominator": ["nf", _vector_json(coeff={"monomials": [{"e": [0, 0, 0], "num": "1",
+                                                                  "den": "0"}]})],
+    "bool-k": ["nf", _vector_json(k=True)],
+    "float-k": ["nf", _vector_json(k=1.7)],
     "short-exponent-list": ["nf", _vector_json(coeff=_exponents([1]))],
     "long-exponent-list": ["nf", _vector_json(coeff=_exponents([0, 0, 0, 5]))],
     "short-partition-entry": ["nf", _vector_json(**{"lambda": [[0]]})],

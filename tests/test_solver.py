@@ -1,4 +1,6 @@
 import random
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from whitmod.solver import (
     Truncation,
     _SparseEchelon,
     _slice_span,
+    _slice_table,
     quotient_act,
     quotient_project,
     random_instance,
@@ -400,33 +403,81 @@ def test_simplicity_probe_random_nonzero():
 # submodule generators
 
 
+class _ReferenceImages:
+    """The public act's images of basis monomials under one type, memoised.
+
+    Monomials are numbered as they are met, and vectors are held as
+    {number: Fraction}."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.monos = []
+        self.numbers = {}
+        self.images = {}
+
+    def number(self, m):
+        n = self.numbers.get(m)
+        if n is None:
+            n = self.numbers[m] = len(self.monos)
+            self.monos.append(m)
+        return n
+
+    def act(self, op, vec):
+        """d(*op) applied to vec, by linearity over the memoised images."""
+        out = {}
+        for n, q in vec.items():
+            image = self.images.get((op, n))
+            if image is None:
+                v = act(d(*op), ModuleVector({self.monos[n]: 1}), self.spec)
+                image = self.images[(op, n)] = [(self.number(m), c.as_fraction())
+                                                for m, c in v._terms.items()]
+            for n2, q2 in image:
+                out[n2] = out.get(n2, 0) + q * q2
+        return {n: q for n, q in out.items() if q}
+
+
+# type -> its _ReferenceImages
+_REFERENCE_IMAGES = {}
+
+
 def _reference_slice_span(seeds, trunc, spec):
     """Reference: the library's former _slice_span.
 
-    It acts on whole vectors with the public act, tests slice membership
-    with the truncation and eliminates over Fractions."""
+    It acts on whole vectors with the public act (by linearity, through
+    _ReferenceImages), tests slice membership with the truncation and
+    eliminates over Fractions."""
     monos = trunc.basis()
     index = {m: j for j, m in enumerate(monos)}
-    ops = [d(i, alpha) for alpha in trunc.induced_box() for i in (1, 2)]
-    ops += [d(i, (-e[0], -e[1])) for e in trunc.entries for i in (1, 2)]
-    ops += [d(2, (0, 0)), d(1, (0, 0))]
+    ops = [(i, alpha) for alpha in trunc.induced_box() for i in (1, 2)]
+    ops += [(i, (-e[0], -e[1])) for e in trunc.entries for i in (1, 2)]
+    ops += [(2, (0, 0)), (1, (0, 0))]
+    images = _REFERENCE_IMAGES.setdefault(spec, _ReferenceImages(spec))
+    columns = {}  # monomial number -> slice column, or None outside the slice
+
+    def column(n):
+        if n not in columns:
+            m = images.monos[n]
+            columns[n] = index[m] if trunc.contains(m) else None
+        return columns[n]
+
     pivots = {}
     queue = []
     spanned = []
-    candidates = seeds
+    candidates = [{images.number(m): c.as_fraction() for m, c in vec._terms.items()}
+                  for vec in seeds]
     while True:
         for vec in candidates:
-            if not vec or not trunc.contains_vector(vec):
+            row = {column(n): q for n, q in vec.items()}
+            if not row or None in row:
                 continue
-            row = _reference_insert(pivots, {index[m]: c.as_fraction()
-                                             for m, c in vec._terms.items()})
+            row = _reference_insert(pivots, row)
             if row is not None:
                 queue.append(vec)
                 spanned.append(ModuleVector({monos[c]: q for c, q in row.items()}))
         if not queue:
             return spanned
         cur = queue.pop()
-        candidates = [act(op, cur, spec) for op in ops]
+        candidates = [images.act(op, cur) for op in ops]
 
 
 SPAN_SLICES = [SMALL, Truncation((1, 1), [(0, 1), (1, -1), (1, 0)], kmax=1, rmax=1, lmax=2)]
@@ -438,15 +489,97 @@ span_seeds = st.lists(
     min_size=1, max_size=2)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=80)
-@given(span_seeds, st.sampled_from(SPAN_SLICES), st.sampled_from(SPAN_TYPES))
-def test_slice_span_matches_reference(seed_data, trunc, spec):
-    # each seed is a word applied to a small z-polynomial times w
-    seeds = [act_word(word, sum((basis_vector(r=r, coeff=c) for r, c in enumerate(coeffs)),
-                                ModuleVector()), spec)
-             for coeffs, word in seed_data]
-    assume(any(v and trunc.contains_vector(v) for v in seeds))
-    assert _slice_span(seeds, trunc, spec) == _reference_slice_span(seeds, trunc, spec)
+@settings(derandomize=True, database=None, deadline=None, max_examples=27)
+@given(st.lists(span_seeds, min_size=4, max_size=4), st.sampled_from(SPAN_SLICES),
+       st.sampled_from(SPAN_TYPES))
+def test_slice_span_matches_reference(seed_lists, trunc, spec):
+    # each seed is a word applied to a small z-polynomial times w; the
+    # seed sets of one example run on one image table, and at least one
+    # set must reach into the slice
+    compared = 0
+    for seed_data in seed_lists:
+        seeds = [act_word(word, sum((basis_vector(r=r, coeff=c) for r, c in enumerate(coeffs)),
+                                    ModuleVector()), spec)
+                 for coeffs, word in seed_data]
+        if any(v and trunc.contains_vector(v) for v in seeds):
+            assert _slice_span(seeds, trunc, spec) == _reference_slice_span(seeds, trunc, spec)
+            compared += 1
+    assume(compared)
+
+
+SLICE_B = Truncation((0, 3), [(0, 1), (0, 3)], kmax=1, rmax=1)
+SPAN_SEEDS = [zminus(2), act(d(1, (0, -1)), zminus(2), PSI123)]
+
+
+def _fresh(fn, *args):
+    """fn(*args) on a newly built slice table."""
+    _slice_table.cache_clear()
+    return fn(*args)
+
+
+def test_interleaved_slice_calls_match_fresh_tables():
+    # slice A with type 1, B with 1, A with 2, then A (built anew) with 1
+    a_again = Truncation((0, 2), [(0, 2), (0, 1), (0, 1)], kmax=1, rmax=2)
+    calls = [(SMALL, PSI123), (SLICE_B, PSI123), (SMALL, PsiSpec.of(-1, 3, -2)),
+             (a_again, PSI123)]
+    _slice_table.cache_clear()
+    got = []
+    for k, (trunc, spec) in enumerate(calls):
+        table = _slice_table(trunc, spec)
+        if k % 2:
+            span = _slice_span(SPAN_SEEDS, trunc, spec)
+            space = whittaker_space(trunc, spec)
+        else:
+            space = whittaker_space(trunc, spec)
+            span = _slice_span(SPAN_SEEDS, trunc, spec)
+        # both calls ran on the table of this slice and type
+        assert _slice_table(trunc, spec) is table
+        got.append((space, span))
+    assert got == [(_fresh(whittaker_space, trunc, spec),
+                    _fresh(_slice_span, SPAN_SEEDS, trunc, spec)) for trunc, spec in calls]
+
+
+def test_truncation_hash_agrees_with_equality():
+    same = [Truncation((0, 2), [(0, 1), (0, 2)], 1, 2),
+            Truncation([0, 2], [(0, 2), (0, 1), [0, 1]], 1, 2)]
+    assert same[0] == same[1] and hash(same[0]) == hash(same[1])
+    assert len({SMALL, *same}) == 1
+    others = [Truncation((0, 2), [(0, 1)], 1, 2), Truncation((0, 2), [(0, 1), (0, 2)], 0, 2),
+              Truncation((0, 2), [(0, 1), (0, 2)], 1, 2, lmax=3), SLICE_B]
+    assert len({SMALL, *others}) == 1 + len(others)
+
+
+def test_two_threads_fill_one_table(monkeypatch):
+    seed_sets = [SPAN_SEEDS[:1], SPAN_SEEDS[1:]]
+    expected = [_fresh(_slice_span, seeds, SMALL, PSI123) for seeds in seed_sets]
+    _slice_table.cache_clear()
+    table = _slice_table(SMALL, PSI123)
+    # hashing a monomial yields the interpreter to the other thread, so the
+    # threads also switch between numbering a new monomial and storing it
+    partition_hash = Partition.__hash__
+
+    def yielding_hash(p):
+        time.sleep(0)
+        return partition_hash(p)
+
+    monkeypatch.setattr(Partition, "__hash__", yielding_hash)
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def run(k):
+        start.wait()
+        results[k] = _slice_span(seed_sets[k], SMALL, PSI123)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert results == expected
+    assert _slice_table(SMALL, PSI123) is table
+    # no two monomials outside the slice share a column
+    assert len(set(table._outer.values())) == len(table._outer)
 
 
 def test_submodule_generator_principal():

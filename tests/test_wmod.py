@@ -193,14 +193,10 @@ def test_descent_guard(monkeypatch, capsys):
     # an order that inverts every pair of distinct factors leaves the
     # recursion no prepend to end on
     monkeypatch.setattr(wmod, "_factor_cmp", lambda f, g: 0 if f == g else 1)
-    wmod._act_basis.cache_clear()
-    try:
-        with pytest.raises(NonDescent):
-            act(d(1, (0, -1)), basis_vector(mu=[(0, 1)]))
-        assert main(["nf", "d1(0,-1) d2(0,-1) w"]) == 4
-        assert "internal invariant violation" in capsys.readouterr().err
-    finally:
-        wmod._act_basis.cache_clear()
+    with pytest.raises(NonDescent):
+        act(d(1, (0, -1)), basis_vector(mu=[(0, 1)]))
+    assert main(["nf", "d1(0,-1) d2(0,-1) w"]) == 4
+    assert "internal invariant violation" in capsys.readouterr().err
 
 
 def test_act_word_order():
