@@ -68,29 +68,27 @@ def _psi_of(args):
     return parse_psi(text)
 
 
+def _decoded(text, what, from_json, parse):
+    """text decoded by from_json when it starts with '{', else read by parse."""
+    text = text.strip()
+    if not text.startswith("{"):
+        return parse(text)
+    try:
+        return from_json(json.loads(text))
+    except (ValueError, KeyError, TypeError, RecursionError) as e:
+        raise ParseError("bad %s JSON: %s" % (what, e), 0, ())
+
+
 def _lie_arg(text, rank=None):
     """An operator argument; with rank given, an operator of another rank is refused."""
-    text = text.strip()
-    if text.startswith("{"):
-        try:
-            x = LieElt.from_json(json.loads(text))
-        except (ValueError, KeyError, TypeError) as e:
-            raise ParseError("bad operator JSON: %s" % e, 0, ())
-    else:
-        x = parse_lie(text)
+    x = _decoded(text, "operator", LieElt.from_json, parse_lie)
     if rank is not None and x.n != rank:
         raise ParseError("expected an operator of rank %d, got rank %d" % (rank, x.n), 0, ())
     return x
 
 
 def _vector_arg(text, psi):
-    text = text.strip()
-    if text.startswith("{"):
-        try:
-            return ModuleVector.from_json(json.loads(text))
-        except (ValueError, KeyError, TypeError) as e:
-            raise ParseError("bad vector JSON: %s" % e, 0, ())
-    return parse_vector(text, psi)
+    return _decoded(text, "vector", ModuleVector.from_json, lambda t: parse_vector(t, psi))
 
 
 def _rational(text):

@@ -5,6 +5,11 @@ coefficients in the three generator values that determine a type
 homomorphism.  Plain rationals are the constant polynomials.  ZPoly is a
 univariate polynomial in z whose coefficients are Scalars.  Everything here
 is immutable, hashable and exact; nothing is ever rounded.
+
+LinearCombination, the sparse dict of nonzero terms with its sums,
+scalar multiples, equality and hashing, is the one base of Scalar,
+liecore.LieElt and wmod.ModuleVector; add_term and join_signed beside it
+are the term accumulator and the signed-sum renderer they all use.
 """
 
 from __future__ import annotations
@@ -48,20 +53,16 @@ def join_signed(parts) -> str:
     return text
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError("expected an int or Fraction, got %r" % (value,))
+class LinearCombination:
+    """Finite linear combination: a dict from keys to nonzero coefficients.
 
-
-class Scalar:
-    """Sparse polynomial in s1, s2, s3 over Q.
-
-    Internally a dict mapping exponent triples (e1, e2, e3) to nonzero
-    Fractions.  The representation is canonical: zero coefficients are never
-    stored, so == and hash are structural.
+    The base of Scalar, LieElt and ModuleVector.  It owns the sparse dict
+    and everything that treats it as a vector: negation, sums, scalar
+    multiples, equality and hashing.  A subclass names its keys and
+    coefficients through _key and _coefficient, which validate input to
+    the constructor; results of arithmetic are built by _like from dicts
+    that are already clean.  The representation is canonical, so == and
+    hash are structural.
     """
 
     __slots__ = ("_terms",)
@@ -69,14 +70,92 @@ class Scalar:
     def __init__(self, terms=None):
         clean = {}
         if terms:
-            for exps, coeff in terms.items():
-                e = (int(exps[0]), int(exps[1]), int(exps[2]))
-                if min(e) < 0:
-                    raise ValueError("negative exponent in scalar monomial: %r" % (e,))
-                c = _coerce(coeff)
+            for key, coeff in terms.items():
+                key = self._key(key)
+                c = self._coefficient(coeff)
                 if c:
-                    add_term(clean, e, c)
-        object.__setattr__(self, "_terms", clean)
+                    add_term(clean, key, c)
+        self._terms = clean
+
+    def _key(self, key):
+        return key
+
+    @staticmethod
+    def _coefficient(value):
+        return as_scalar(value)
+
+    def _like(self, terms: dict):
+        """A value of self's kind holding terms, a clean dict, without revalidation."""
+        new = object.__new__(type(self))
+        new._terms = terms
+        return new
+
+    def _merged(self, other):
+        """self + other for a value of the same kind."""
+        merged = dict(self._terms)
+        for key, c in other._terms.items():
+            add_term(merged, key, c)
+        return self._like(merged)
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self._terms.items()})
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._merged(other)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        s = as_scalar(other)
+        if not s:
+            return self._like({})
+        return self._like({k: c * s for k, c in self._terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+class Scalar(LinearCombination):
+    """Sparse polynomial in s1, s2, s3 over Q.
+
+    Keys are exponent triples (e1, e2, e3), coefficients nonzero Fractions.
+    Arithmetic accepts ints and Fractions as constant polynomials, and
+    the product is the ring product.
+    """
+
+    __slots__ = ()
+
+    def _key(self, exps):
+        e = (int(exps[0]), int(exps[1]), int(exps[2]))
+        if min(e) < 0:
+            raise ValueError("negative exponent in scalar monomial: %r" % (e,))
+        return e
+
+    @staticmethod
+    def _coefficient(value) -> Fraction:
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int):
+            return Fraction(value)
+        raise TypeError("expected an int or Fraction, got %r" % (value,))
 
     @staticmethod
     def rational(p, q=1) -> "Scalar":
@@ -96,9 +175,6 @@ class Scalar:
         """Monomials as (exponent-triple, Fraction), highest triple first."""
         return sorted(self._terms.items(), key=lambda t: t[0], reverse=True)
 
-    def __bool__(self):
-        return bool(self._terms)
-
     def is_rational(self) -> bool:
         return not self._terms or set(self._terms) == {(0, 0, 0)}
 
@@ -109,19 +185,15 @@ class Scalar:
             raise ValueError("scalar %s is not a plain rational" % self)
         return self._terms[(0, 0, 0)]
 
+    # The operators below stay in this class body, so that wrapping
+    # Scalar.__add__ or Scalar.__mul__ counts scalar arithmetic only.
     def __add__(self, other):
         other = _try_scalar(other)
         if other is None:
             return NotImplemented
-        merged = dict(self._terms)
-        for e, c in other._terms.items():
-            add_term(merged, e, c)
-        return _raw(merged)
+        return self._merged(other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return _raw({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _try_scalar(other)
@@ -169,8 +241,7 @@ class Scalar:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+    __hash__ = LinearCombination.__hash__
 
     def specialize(self, spec: "PsiSpec") -> "Scalar":
         """Substitute the spec's rational values for s1, s2, s3.
@@ -206,9 +277,6 @@ class Scalar:
             parts.append(body)
         return join_signed(parts)
 
-    def __repr__(self):
-        return "Scalar(%s)" % self
-
     def to_json(self) -> dict:
         return {
             "monomials": [
@@ -227,17 +295,26 @@ class Scalar:
             e = tuple(e)
             if max(e, default=0) > MAX_EXPONENT:
                 raise ValueError("exponent %d exceeds the bound %d" % (max(e), MAX_EXPONENT))
-            den = int(mono["den"])
+            den = _json_int(mono["den"])
             if den == 0:
                 raise ValueError("a coefficient has the denominator 0")
-            terms[e] = terms.get(e, Fraction(0)) + Fraction(int(mono["num"]), den)
+            terms[e] = terms.get(e, Fraction(0)) + Fraction(_json_int(mono["num"]), den)
         return Scalar(terms)
+
+
+def _json_int(value) -> int:
+    """A JSON coefficient part: an int, or the string of one that to_json writes."""
+    if isinstance(value, str):
+        return int(value)
+    if type(value) is not int:
+        raise ValueError("a numerator or denominator must be an integer, got %r" % (value,))
+    return value
 
 
 def _raw(terms: dict) -> Scalar:
     """Build a Scalar from an already-clean dict without revalidation."""
-    s = Scalar()
-    object.__setattr__(s, "_terms", terms)
+    s = object.__new__(Scalar)
+    s._terms = terms
     return s
 
 
@@ -359,7 +436,7 @@ class ZPoly:
         cs = [as_scalar(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        self._coeffs = tuple(cs)
 
     @staticmethod
     def constant(c) -> "ZPoly":

@@ -15,7 +15,8 @@ from __future__ import annotations
 import operator
 
 from .coeff import (
-    ONE, PsiSpec, SYMBOLIC, Scalar, ZERO, add_term, as_scalar, attach_coefficient, join_signed,
+    ONE, LinearCombination, PsiSpec, SYMBOLIC, Scalar, ZERO, add_term, as_scalar,
+    attach_coefficient, join_signed,
 )
 
 
@@ -70,31 +71,35 @@ def triangular_part(a: Weight) -> str:
     return "zero"
 
 
-class LieElt:
+class LieElt(LinearCombination):
     """Finite Scalar-linear combination of the basis derivations.
 
     Terms are keyed by (i, alpha).  The rank n is fixed per element;
-    mixing ranks in arithmetic is an error.
+    mixing ranks in arithmetic is an error, and zero elements of
+    different ranks are unequal.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms=None):
         if n < 2:
             raise OutOfRange("rank must be at least 2, got %d" % n)
-        clean = {}
-        if terms:
-            for (i, alpha), coeff in terms.items():
-                alpha = tuple(int(x) for x in alpha)
-                if len(alpha) != n:
-                    raise OutOfRange("weight %r has rank != %d" % (alpha, n))
-                if not 1 <= i <= n:
-                    raise OutOfRange("index %d outside 1..%d" % (i, n))
-                c = as_scalar(coeff)
-                if c:
-                    add_term(clean, (i, alpha), c)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", clean)
+        self.n = n
+        super().__init__(terms)
+
+    def _key(self, key):
+        i, alpha = key
+        alpha = tuple(int(x) for x in alpha)
+        if len(alpha) != self.n:
+            raise OutOfRange("weight %r has rank != %d" % (alpha, self.n))
+        if not 1 <= i <= self.n:
+            raise OutOfRange("index %d outside 1..%d" % (i, self.n))
+        return (i, alpha)
+
+    def _like(self, terms: dict):
+        new = super()._like(terms)
+        new.n = self.n
+        return new
 
     def terms(self):
         """(i, alpha, coeff) triples sorted by weight then index."""
@@ -103,37 +108,10 @@ class LieElt:
             for (i, alpha) in sorted(self._terms, key=lambda key: (key[1], key[0]))
         ]
 
-    def __bool__(self):
-        return bool(self._terms)
-
-    def weights(self):
-        return sorted({alpha for (_, alpha) in self._terms})
-
     def __add__(self, other):
-        if not isinstance(other, LieElt):
-            return NotImplemented
-        if other.n != self.n:
+        if isinstance(other, LieElt) and other.n != self.n:
             raise ValueError("cannot add elements of different rank")
-        merged = dict(self._terms)
-        for key, c in other._terms.items():
-            add_term(merged, key, c)
-        return _raw_elt(self.n, merged)
-
-    def __neg__(self):
-        return _raw_elt(self.n, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, LieElt):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        s = as_scalar(other)
-        if not s:
-            return LieElt(self.n)
-        return _raw_elt(self.n, {k: c * s for k, c in self._terms.items()})
-
-    __rmul__ = __mul__
+        return super().__add__(other)
 
     def __eq__(self, other):
         if not isinstance(other, LieElt):
@@ -150,9 +128,6 @@ class LieElt:
         return join_signed([attach_coefficient(coeff, format_generator(i, alpha))
                             for i, alpha, coeff in self.terms()])
 
-    def __repr__(self):
-        return "LieElt(%s)" % self
-
     def to_json(self) -> dict:
         return {
             "terms": [
@@ -165,18 +140,17 @@ class LieElt:
     def from_json(data: dict, n: int = 2) -> "LieElt":
         terms = {}
         for t in data["terms"]:
-            key = (int(t["i"]), tuple(int(x) for x in t["alpha"]))
+            i, alpha = t["i"], t["alpha"]
+            if type(i) is not int or not (
+                    isinstance(alpha, list) and all(type(x) is int for x in alpha)):
+                raise ValueError("an operator term needs an integer i and a list of integers"
+                                 " alpha, got i=%r, alpha=%r" % (i, alpha))
+            key = (i, tuple(alpha))
             terms[key] = terms.get(key, ZERO) + Scalar.from_json(t["coeff"])
         ranks = {len(alpha) for (_, alpha) in terms} or {n}
         if len(ranks) > 1:
             raise ValueError("mixed weight ranks in element")
         return LieElt(ranks.pop(), terms)
-
-
-def _raw_elt(n: int, terms: dict) -> LieElt:
-    e = LieElt(n)
-    object.__setattr__(e, "_terms", terms)
-    return e
 
 
 def format_generator(i: int, alpha: Weight) -> str:
@@ -222,7 +196,7 @@ def bracket(x: LieElt, y: LieElt) -> LieElt:
             c = ca * cb
             for key, scale in generator_bracket((i, a), (j, b)).items():
                 add_term(out, key, c * scale)
-    return _raw_elt(x.n, out)
+    return x._like(out)
 
 
 def psi_eval(x: LieElt, psi: PsiSpec = SYMBOLIC) -> Scalar:

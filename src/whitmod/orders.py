@@ -1,9 +1,12 @@
 """Partitions of lex-positive weights and the orders that drive reduction.
 
-A Partition is a finite multiset of lex-positive rank-two weights, stored
-as a non-decreasing tuple (tuple comparison is the lex order, so plain
-sorting does the right thing).  Entries like (1, -2) are legal: positivity
-is lexicographic, not coordinatewise.
+A Partition is a finite multiset of lex-positive rank-two weights: a
+tuple subclass holding its entries non-decreasing (tuple comparison is the
+lex order, so plain sorting does the right thing).  Entries like (1, -2)
+are legal: positivity is lexicographic, not coordinatewise.  A Partition
+equals a plain tuple of the same entries; the orders below go through
+sort keys only.  Partitions sit in the keys of module vectors, whose
+linear-combination base is coeff.LinearCombination.
 
 Two total orders on partitions are provided.  partition_lt compares
 multiplicities at the lex-least weight where they differ; partition_prec
@@ -29,10 +32,12 @@ from typing import NamedTuple
 from .liecore import Weight, is_positive, weight_add, zero_weight
 
 
-class Partition:
-    __slots__ = ("_entries",)
+class Partition(tuple):
+    """A multiset of lex-positive weights: the tuple of its entries, sorted."""
 
-    def __init__(self, entries=()):
+    __slots__ = ()
+
+    def __new__(cls, entries=()):
         clean = []
         for entry in entries:
             entry = (int(entry[0]), int(entry[1]))
@@ -40,50 +45,34 @@ class Partition:
                 raise ValueError("partition entries must be lex-positive, got %r" % (entry,))
             clean.append(entry)
         clean.sort()
-        object.__setattr__(self, "_entries", tuple(clean))
+        return super().__new__(cls, clean)
 
     @property
     def entries(self):
-        return self._entries
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __bool__(self):
-        return bool(self._entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __hash__(self):
-        return hash(self._entries)
+        """The entries as a plain tuple."""
+        return tuple(self)
 
     def weight_sum(self) -> Weight:
         total = zero_weight(2)
-        for entry in self._entries:
+        for entry in self:
             total = weight_add(total, entry)
         return total
 
     def multiplicity(self, alpha) -> int:
-        return self._entries.count(tuple(alpha))
+        return self.count(tuple(alpha))
 
     def support(self):
         """Distinct entries, lex-ascending."""
-        return tuple(sorted(set(self._entries)))
+        return tuple(sorted(set(self)))
 
     def positive_support(self):
         """Distinct entries whose first coordinate is positive."""
-        return tuple(sorted(e for e in set(self._entries) if e[0] > 0))
+        return tuple(sorted(e for e in set(self) if e[0] > 0))
 
     def remove_one(self, alpha) -> "Partition":
         """Partition with one copy of alpha removed; alpha must occur."""
         alpha = tuple(alpha)
-        entries = list(self._entries)
+        entries = list(self)
         try:
             entries.remove(alpha)
         except ValueError:
@@ -91,18 +80,19 @@ class Partition:
         return Partition(entries)
 
     def add_one(self, alpha) -> "Partition":
-        return Partition(self._entries + (tuple(alpha),))
+        return Partition(self + (tuple(alpha),))
 
     def __str__(self):
-        if not self._entries:
+        if not self:
             return "[]"
-        return "[" + ", ".join("(%d,%d)" % e for e in self._entries) + "]"
+        return "[" + ", ".join("(%d,%d)" % e for e in self) + "]"
 
     def __repr__(self):
-        return "Partition(%s)" % self
+        # a tuple on the right of % is its argument list, so wrap it
+        return "Partition(%s)" % (self,)
 
     def to_json(self) -> list:
-        return [list(e) for e in self._entries]
+        return [list(e) for e in self]
 
     @staticmethod
     def from_json(data) -> "Partition":
@@ -117,13 +107,13 @@ EMPTY = Partition()
 
 def partition_lt_key(p: Partition) -> tuple:
     """Sort key of partition_lt: the negated entries in stored order."""
-    return tuple((-a, -b) for a, b in p.entries)
+    return tuple((-a, -b) for a, b in p)
 
 
 def partition_prec_key(p: Partition) -> tuple:
     """Sort key of partition_prec: positive-first entries, then zero-first ones."""
     key = partition_lt_key(p)
-    zero_first = sum(1 for a, _ in p.entries if a == 0)  # stored before the rest
+    zero_first = sum(1 for a, _ in p if a == 0)  # stored before the rest
     return (key[zero_first:], key[:zero_first])
 
 

@@ -8,7 +8,7 @@ Grammar (whitespace insensitive):
     vterm   := [coeff '*'] factor* 'w'
     factor  := gen ['^' uint]
     gen     := 'd1' '(' int ',' int ')' | 'd2' '(' int ',' int ')' | 'z' | 'h2'
-    coeff   := rational | '(' spoly ')'
+    coeff   := rational | svars | '(' spoly ')'
     spoly   := ['-'] smon (('+'|'-') smon)*
     smon    := rational ['*' svars] | svars
     svars   := svar ('*' svar)*

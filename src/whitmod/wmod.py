@@ -4,7 +4,7 @@ Basis vectors are x_{lambda,mu,k} z^r w: a product of weight-negative
 d_1 factors prescribed by lambda, weight-negative d_2 factors prescribed
 by mu, k copies of h2 = d_2(0,0) and r copies of z = d_1(0,0), applied to
 the cyclic vector w.  A ModuleVector is a finite Scalar-combination of
-those.
+those, built on coeff.LinearCombination like Scalar and LieElt.
 
 act straightens into this basis by PBW left-multiplication (de Graaf,
 Lie Algebras: Theory and Algorithms, 2000).  A word is a tuple of
@@ -37,7 +37,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .coeff import (
-    ONE, PsiSpec, SYMBOLIC, Scalar, ZERO, ZPoly, add_term, as_scalar, attach_coefficient, join_signed,
+    ONE, LinearCombination, PsiSpec, SYMBOLIC, Scalar, ZERO, ZPoly, add_term, as_scalar,
+    attach_coefficient, join_signed,
 )
 from .liecore import (
     LieElt,
@@ -127,19 +128,10 @@ def _monomial_key(m: BasisMonomial) -> tuple:
     return (triple_key(m.triple), m.r)
 
 
-class ModuleVector:
+class ModuleVector(LinearCombination):
     """Finite Scalar-linear combination of basis monomials."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = as_scalar(coeff)
-                if c:
-                    add_term(clean, mono, c)
-        object.__setattr__(self, "_terms", clean)
+    __slots__ = ()
 
     def terms(self):
         """(monomial, coeff) pairs in canonical ascending order."""
@@ -170,43 +162,8 @@ class ModuleVector:
                     terms[BasisMonomial(t.lam, t.mu, t.k, r)] = c
         return _raw_vector(terms)
 
-    def __bool__(self):
-        return bool(self._terms)
-
     def __len__(self):
         return len(self._terms)
-
-    def __add__(self, other):
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        merged = dict(self._terms)
-        for mono, c in other._terms.items():
-            add_term(merged, mono, c)
-        return _raw_vector(merged)
-
-    def __neg__(self):
-        return _raw_vector({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        s = as_scalar(other)
-        if not s:
-            return ModuleVector()
-        return _raw_vector({m: c * s for m, c in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def specialize(self, psi: PsiSpec) -> "ModuleVector":
         return ModuleVector({m: c.specialize(psi) for m, c in self._terms.items()})
@@ -214,9 +171,6 @@ class ModuleVector:
     def __str__(self):
         return join_signed([attach_coefficient(coeff, str(mono), sep=" * ")
                             for mono, coeff in self.terms()])
-
-    def __repr__(self):
-        return "ModuleVector(%s)" % self
 
     def to_json(self) -> dict:
         return {
@@ -235,8 +189,8 @@ class ModuleVector:
 
 
 def _raw_vector(terms: dict) -> ModuleVector:
-    v = ModuleVector()
-    object.__setattr__(v, "_terms", terms)
+    v = object.__new__(ModuleVector)
+    v._terms = terms
     return v
 
 

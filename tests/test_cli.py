@@ -239,6 +239,11 @@ def _vector_json(**fields):
     return json.dumps({"terms": [term]})
 
 
+def _operator_json(**fields):
+    term = dict(d(1, (0, 1)).to_json()["terms"][0], **fields)
+    return json.dumps({"terms": [term]})
+
+
 def _refuse_to_compute(*args):
     raise AssertionError("an exponent over the bound reached the arithmetic")
 
@@ -270,6 +275,14 @@ MALFORMED = {
     "rank-act": ["act", RANK3, "w"],
     "rank-quotient-act": ["quotient-act", RANK3, "w", "--a", "2", "--psi", "1,2,3"],
     "rank-bracket": ["bracket", "d1(0,1)", RANK3],
+    "float-num": ["nf", _vector_json(coeff={"monomials": [{"e": [0, 0, 0], "num": 1.7,
+                                                           "den": "1"}]})],
+    "bool-den": ["nf", _vector_json(coeff={"monomials": [{"e": [0, 0, 0], "num": "1",
+                                                          "den": True}]})],
+    "float-alpha": ["act", _operator_json(alpha=[0.9, 1]), "w"],
+    "bool-i": ["act", _operator_json(i=True), "w"],
+    "string-alpha": ["act", _operator_json(i=1, alpha="01"), "w"],
+    "deep-json": ["nf", '{"terms": ' + "[" * 3000 + "]" * 3000 + "}"],
 }
 
 
