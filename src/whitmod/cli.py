@@ -16,9 +16,10 @@ Exposes the calculator over plain text::
 Vector and operator arguments use the text grammar of ``textio``; an
 argument starting with ``{`` is instead decoded from the JSON schema the
 ``--format json`` output produces.  ``--psi`` takes either ``symbolic``
-or three comma-separated rationals (``p/q`` allowed); when absent, the
-``WHIT_PSI`` environment variable is consulted before defaulting to
-symbolic.
+or three comma-separated rationals; when absent, the ``WHIT_PSI``
+environment variable is consulted before defaulting to symbolic.  The
+rationals of ``--psi`` and ``--a`` are written ``p/q`` or as decimals;
+exponent notation is refused.
 
 Exit codes: 0 success, 1 verification or probe failure, 2 malformed
 input (an operator of the wrong rank included), 3 singular (zero or
@@ -27,6 +28,7 @@ violation.
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -34,8 +36,7 @@ import sys
 
 from .coeff import SingularPsi
 from .liecore import LieElt, bracket
-from .orders import Triple
-from .textio import ParseError, parse_lie, parse_vector, parse_psi
+from .textio import ParseError, parse_lie, parse_psi, parse_rational, parse_vector
 from .wmod import ModuleVector, ZeroVector, NonDescent, act
 from .solver import (
     NonTermination,
@@ -91,14 +92,6 @@ def _vector_arg(text, psi):
     return _decoded(text, "vector", ModuleVector.from_json, lambda t: parse_vector(t, psi))
 
 
-def _rational(text):
-    from fractions import Fraction
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ParseError("expected a rational number, got %r" % text, 0, ())
-
-
 def _pair(text):
     parts = text.split(",")
     if len(parts) != 2:
@@ -136,16 +129,12 @@ def _emit(args, text_value, json_value):
         print(text_value)
 
 
-def _triple_text(t: Triple) -> str:
-    return "(%s, %s, %d)" % (t.lam, t.mu, t.k)
-
-
 def _transcript_lines(transcript):
     lines = []
     for idx, step in enumerate(transcript, 1):
         lines.append("  %2d. rule %-7s op d%d(%d,%d)  psi %s  exponent %d  -> deg %s" % (
             idx, step.rule, step.i, step.alpha[0], step.alpha[1],
-            step.psi_value, step.exponent, _triple_text(step.degree_after)))
+            step.psi_value, step.exponent, step.degree_after))
     return lines
 
 
@@ -218,7 +207,7 @@ def _cmd_quotient_act(args):
     psi = _psi_of(args)
     x = _lie_arg(args.x, rank=2)
     v = _vector_arg(args.vector, psi)
-    out = quotient_act(x, v, _rational(args.a), psi)
+    out = quotient_act(x, v, parse_rational(args.a), psi)
     _emit(args, str(out), out.to_json())
     return EXIT_OK
 
@@ -226,7 +215,7 @@ def _cmd_quotient_act(args):
 def _cmd_probe(args):
     psi = _psi_of(args)
     v = _vector_arg(args.vector, psi)
-    c = simplicity_probe(v, _rational(args.a), psi)
+    c = simplicity_probe(v, parse_rational(args.a), psi)
     _emit(args, str(c), c.to_json())
     if not c:
         return EXIT_MISMATCH
@@ -247,6 +236,8 @@ def _verify_target(text):
 
 
 def _cmd_verify(args):
+    if args.random < 0:
+        raise ParseError("--random must be at least 0, got %d" % args.random, 0, ())
     psi = _psi_of(args)
     idents = _verify_target(args.target)
     rng = random.Random(args.seed)
@@ -292,7 +283,10 @@ def _add_truncation_flags(sp):
                          "(required when the cap's first component is positive)")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The command line parser, built on first use and then shared; each
+    parse_args call still reads into a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="whit",
         description="Exact Whittaker-module calculator for the derivation "
@@ -350,7 +344,7 @@ def build_parser():
     sp = sub.add_parser("verify", help="check congruence rules on random instances")
     sp.add_argument("target", help="'all', a rule id like 3.8.1, or lemma3.8.1")
     sp.add_argument("--random", type=int, default=5, metavar="N",
-                    help="instances per rule (default 5)")
+                    help="instances per rule, at least 0 (default 5)")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--stated", action="store_true",
                     help="check the printed coefficients verbatim instead of "
@@ -362,8 +356,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as e:

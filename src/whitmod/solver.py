@@ -8,7 +8,8 @@ This module bundles the computations that sit above raw straightening:
 * ``reduce_to_whittaker`` drives an arbitrary nonzero vector down the
   degree filtration to a plain z-polynomial times w, recording every
   operator application in a replayable transcript.  Each step applies
-  the one reduction rule of ``RULES`` whose hypotheses hold.
+  the rule of ``RULES`` that ``_rule_at`` picks by one case split on
+  the degree triple and the next-lower weight level.
 * ``quotient_act`` / ``simplicity_probe`` work in the quotient where z
   acts by a fixed rational a; the probe certifies that a vector still
   generates the cyclic vector.
@@ -19,14 +20,15 @@ This module bundles the computations that sit above raw straightening:
   reduction, rule by rule.  ``RULES`` holds each rule once, under an
   opaque string identifier ("3.5" through "3.11.3"); these are the
   names the command line front end accepts and are kept stable.  Each
-  entry gives the rule's hypotheses, operator, target triple and
-  leading coefficient as functions of a ``RuleContext``, which the
-  reduction and the verification both read.  Three rules carry errata
-  notes on their printed statement; the printed coefficients of 3.11.2
-  (not evaluable) and 3.11.3 (the wrong type value) disagree with exact
-  computation, and only ``stated`` mode checks them.  The engine's
-  value is authoritative and the discrepancy is reported, never
-  silently absorbed.
+  entry gives the rule's operator, target triple and leading
+  coefficient as functions of a ``RuleContext``, which the reduction
+  and the verification both read; a ``LemmaInstance`` of a reduction
+  rule is accepted exactly where ``_rule_at`` names that rule.  Three
+  rules carry errata notes on their printed statement; the printed
+  coefficients of 3.11.2 (not evaluable) and 3.11.3 (the wrong type
+  value) disagree with exact computation, and only ``stated`` mode
+  checks them.  The engine's value is authoritative and the
+  discrepancy is reported, never silently absorbed.
 
 Everything is exact: coefficients are rationals or integer-coefficient
 polynomials in the three type values, and all comparisons are equality.
@@ -560,15 +562,14 @@ def _measure_of(top: Triple):
 def _step_choice(ctx):
     """The rule that lowers the degree of ctx: (ident, i, alpha, exponent).
 
-    The hypotheses of the eight reduction rules exclude each other, so
-    the first that holds is the only one.  Rule 3.7 is applied k times
-    at once, every other rule once.
+    _rule_at names the rule.  Rule 3.7 is applied k times at once, every
+    other rule once.
     """
-    for rule in _REDUCTION_RULES:
-        if not rule.hypotheses(ctx):
-            i, alpha = rule.operator(ctx)
-            return rule.ident, i, alpha, (ctx.deg.k if rule.ident == "3.7" else 1)
-    raise NonDescent("no reduction rule applies at degree %s" % (ctx.deg,))
+    ident = _rule_at(ctx)
+    if ident is None:
+        raise NonDescent("no reduction rule applies at degree %s" % (ctx.deg,))
+    i, alpha = RULES[ident].operator(ctx)
+    return ident, i, alpha, (ctx.deg.k if ident == "3.7" else 1)
 
 
 def _run_reduction(v: ModuleVector, psi: PsiSpec, a=None, max_steps=10000):
@@ -762,7 +763,6 @@ class RuleContext:
 class Rule(NamedTuple):
     """A registered congruence rule; each field is a function of a context.
 
-    ``hypotheses`` returns an error string, or None when they hold;
     ``operator`` picks (i, alpha); ``target`` the triple that is both
     the leading monomial and the filtration modulus; ``poly`` the
     attached z-polynomial; ``coefficient`` the leading coefficient as
@@ -772,7 +772,6 @@ class Rule(NamedTuple):
     """
 
     ident: str
-    hypotheses: object
     operator: object
     target: object
     poly: object
@@ -780,106 +779,31 @@ class Rule(NamedTuple):
     errata: tuple
 
 
-def _hyp_35(inst):
-    if len(inst.polys) != 1:
-        return "needs a vector supported on a single basis triple"
-    if inst.omega_index not in (0, 1, 2):
-        return "needs an operator choice omega_index in {0, 1, 2}"
+def _rule_at(ctx):
+    """The ident of the one reduction rule that lowers ctx's degree, or
+    None at TRIPLE_MIN.
 
-
-def _hyp_37(inst):
-    if inst.deg.k <= 0:
-        return "needs a degree triple with positive k"
-
-
-def _hyp_381(inst):
-    lam, mu, k = inst.deg
-    if k != 0:
-        return "needs k = 0 in the degree triple"
-    if not mu:
-        return "needs a nonempty mu part"
-    if _mu_min(inst)[0] <= 0:
-        return "needs the minimal mu entry to have a positive first component"
-
-
-def _hyp_382(inst):
-    lam, mu, k = inst.deg
-    if k != 0:
-        return "needs k = 0 in the degree triple"
-    if not mu:
-        return "needs a nonempty mu part"
-    if _mu_min(inst)[0] != 0:
-        return "needs the minimal mu entry to have first component zero"
-
-
-def _hyp_39(inst):
-    lam, mu, k = inst.deg
-    if k != 0:
-        return "needs k = 0 in the degree triple"
+    Partition entries are lex-positive, so first components are >= 0: a
+    least mu entry whose first component is not positive has first
+    component 0, as 3.8.2 requires, and at the level (0, n) that the
+    last branches reach every entry has first component 0, so the least
+    lower mu entry does too, as 3.11.2 requires.
+    """
+    lam, mu, k = ctx.deg
+    if k > 0:
+        return "3.7"
     if mu:
-        return "needs an empty mu part"
-    if not lam.positive_support():
-        return "needs a lambda entry with positive first component"
-
-
-def _hyp_step4(inst):
-    lam, mu, k = inst.deg
-    if k != 0:
-        return "needs k = 0 in the degree triple"
-    if mu:
-        return "needs an empty mu part"
-    if not lam:
-        return "needs a nonempty lambda part"
+        return "3.8.1" if _mu_min(ctx)[0] > 0 else "3.8.2"
     if lam.positive_support():
-        return "needs all lambda entries to have first component zero"
-
-
-def _hyp_310(inst):
-    err = _hyp_step4(inst)
-    if err:
-        return err
-    if inst.lower_top is not None:
-        return "needs the next-lower weight level to be empty"
-
-
-def _hyp_311(inst):
-    err = _hyp_step4(inst)
-    if err:
-        return err
-    if inst.lower_top is None:
-        return "needs the next-lower weight level to be inhabited"
-
-
-def _hyp_3111(inst):
-    err = _hyp_311(inst)
-    if err:
-        return err
-    if inst.lower_top.k <= 0:
-        return "needs the lower-level top triple to have positive k"
-
-
-def _hyp_3112(inst):
-    err = _hyp_311(inst)
-    if err:
-        return err
-    xi, eta, l = inst.lower_top
-    if l != 0:
-        return "needs the lower-level top triple to have k = 0"
-    if not eta:
-        return "needs the lower-level top triple to have a nonempty mu part"
-    if _eta_min(inst)[0] != 0:
-        return "needs the minimal lower-level mu entry to have first component zero"
-
-
-def _hyp_3113(inst):
-    err = _hyp_311(inst)
-    if err:
-        return err
-    xi, eta, l = inst.lower_top
-    if l != 0:
-        return "needs the lower-level top triple to have k = 0"
-    if eta:
-        return "needs the lower-level top triple to have an empty mu part"
+        return "3.9"
+    if not lam:
+        return None
+    lower = ctx.lower_top
+    if lower is None:
+        return "3.10"
+    if lower.k > 0:
+        return "3.11.1"
+    return "3.11.2" if lower.mu else "3.11.3"
 
 
 def _mu_min(inst):
@@ -927,7 +851,6 @@ def _coeff_lam_min(inst):
 RULES = {
     "3.5": Rule(
         "3.5",
-        _hyp_35,
         lambda inst: OMEGA[inst.omega_index],
         lambda inst: inst.deg,
         _lead_poly,
@@ -936,7 +859,6 @@ RULES = {
     ),
     "3.7": Rule(
         "3.7",
-        _hyp_37,
         lambda inst: (2, TWO_EPS2),
         lambda inst: Triple(inst.deg.lam, inst.deg.mu, inst.deg.k - 1),
         _lead_poly,
@@ -945,7 +867,6 @@ RULES = {
     ),
     "3.8.1": Rule(
         "3.8.1",
-        _hyp_381,
         lambda inst: (1, weight_add(_mu_min(inst), TWO_EPS2)),
         _target_38,
         _lead_poly,
@@ -955,7 +876,6 @@ RULES = {
     ),
     "3.8.2": Rule(
         "3.8.2",
-        _hyp_382,
         lambda inst: (2, weight_add(_mu_min(inst), TWO_EPS2)),
         _target_38,
         _lead_poly,
@@ -965,7 +885,6 @@ RULES = {
     ),
     "3.9": Rule(
         "3.9",
-        _hyp_39,
         lambda inst: (2, weight_add(_pos_min(inst), TWO_EPS2)),
         lambda inst: Triple(inst.deg.lam.remove_one(_pos_min(inst)), EMPTY, 0),
         _lead_poly,
@@ -974,7 +893,6 @@ RULES = {
     ),
     "3.10": Rule(
         "3.10",
-        _hyp_310,
         _op_lam_min,
         _target_lam_min,
         _lead_poly,
@@ -983,7 +901,6 @@ RULES = {
     ),
     "3.11.1": Rule(
         "3.11.1",
-        _hyp_3111,
         lambda inst: (1, EPS2),
         lambda inst: Triple(inst.lower_top.lam, inst.lower_top.mu, inst.lower_top.k - 1),
         _lower_poly,
@@ -992,7 +909,6 @@ RULES = {
     ),
     "3.11.2": Rule(
         "3.11.2",
-        _hyp_3112,
         lambda inst: (1, weight_add(_eta_min(inst), EPS2)),
         lambda inst: Triple(inst.lower_top.lam, inst.lower_top.mu.remove_one(_eta_min(inst)), 0),
         _lower_poly,
@@ -1004,7 +920,6 @@ RULES = {
     ),
     "3.11.3": Rule(
         "3.11.3",
-        _hyp_3113,
         _op_lam_min,
         _target_lam_min,
         _lead_poly,
@@ -1022,17 +937,15 @@ _PRINTED = {
     "3.11.3": lambda inst: (_coeff_lam_min(inst)[0], 2),
 }
 
-# The rules the reduction applies.  3.5 is not one: its leading
-# coefficient is zero, so its defect has no known top triple.
-_REDUCTION_RULES = tuple(rule for ident, rule in RULES.items() if ident != "3.5")
-
 
 class LemmaInstance(RuleContext):
     """A vector and its rule context, checked against one rule's hypotheses.
 
-    The constructor raises HypothesisViolated when the hypotheses fail.
-    Rule "3.5" also carries omega_index, choosing the operator out of
-    the three generators with nonzero type value.
+    The constructor raises HypothesisViolated when the hypotheses fail:
+    a reduction rule holds exactly where _rule_at names it.  Rule "3.5"
+    is no reduction rule (its leading coefficient is zero) and needs a
+    vector on one basis triple; it also carries omega_index, choosing
+    the operator out of the three generators with nonzero type value.
     """
 
     def __init__(self, ident, uw: ModuleVector, omega_index=None):
@@ -1046,9 +959,18 @@ class LemmaInstance(RuleContext):
         self.ident = ident
         self.uw = uw
         self.omega_index = omega_index
-        err = RULES[ident].hypotheses(self)
-        if err:
-            raise HypothesisViolated("rule %s: %s" % (ident, err))
+        if ident == "3.5":
+            if len(self.polys) != 1:
+                raise HypothesisViolated(
+                    "rule 3.5: needs a vector supported on a single basis triple")
+            if omega_index not in (0, 1, 2):
+                raise HypothesisViolated(
+                    "rule 3.5: needs an operator choice omega_index in {0, 1, 2}")
+        else:
+            applies = _rule_at(self)
+            if applies != ident:
+                raise HypothesisViolated("rule %s does not apply at degree %s; %s does" % (
+                    ident, self.deg, "no rule" if applies is None else "rule " + applies))
 
     def __repr__(self):
         return "LemmaInstance(%r, deg=%s)" % (self.ident, self.deg)

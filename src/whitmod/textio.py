@@ -273,6 +273,20 @@ def parse_scalar(text: str) -> Scalar:
     return _parse_sum(text, _Parser.parse_smon)
 
 
+def parse_rational(text: str) -> Fraction:
+    """A signed rational written p/q or as a decimal, spaces around allowed.
+
+    Exponent notation is refused: Fraction would expand 1e10000000 into
+    all of its ten million digits.
+    """
+    if "e" not in text.lower():
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError("expected a rational p/q or a decimal, got %r" % text, 0, ("rational",))
+
+
 def parse_psi(text: str) -> PsiSpec:
     """Either the word 'symbolic' or three comma-separated nonzero rationals."""
     text = text.strip()
@@ -282,8 +296,4 @@ def parse_psi(text: str) -> PsiSpec:
     if len(parts) != 3:
         raise ParseError("expected 'symbolic' or three comma-separated rationals", 0,
                          ("symbolic", "p1,p2,p3"))
-    try:
-        values = [Fraction(part.strip()) for part in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError("bad rational in type values: %s" % exc, 0, ("rational",)) from None
-    return PsiSpec(values)
+    return PsiSpec([parse_rational(part) for part in parts])

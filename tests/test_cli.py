@@ -146,6 +146,17 @@ def test_parse_error_exit(capsys):
     assert code == 2
 
 
+def test_main_twice_in_one_process(capsys):
+    code, out, _ = run(capsys, "reduce", "h2 w", "--psi", "1,2,3", "--max-steps", "5",
+                       "--format", "json")
+    assert code == 0
+    json.loads(out)
+    # the flags of the first call do not carry over to the second
+    code, out, _ = run(capsys, "reduce", "h2 w")
+    assert code == 0
+    assert out.startswith("poly: ")
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_nonpositive_step_cap_is_a_parse_error(capsys, cap):
     code, out, err = run(capsys, "reduce", "h2 w", "--max-steps", cap)
@@ -283,6 +294,9 @@ MALFORMED = {
     "bool-i": ["act", _operator_json(i=True), "w"],
     "string-alpha": ["act", _operator_json(i=1, alpha="01"), "w"],
     "deep-json": ["nf", '{"terms": ' + "[" * 3000 + "]" * 3000 + "}"],
+    "psi-exponent": ["nf", "w", "--psi", "1e1000000,1,1"],
+    "a-exponent": ["probe", "h2 w", "--a", "1e1000000", "--psi", "1,2,3"],
+    "negative-random": ["verify", "all", "--random", "-3"],
 }
 
 

@@ -638,6 +638,20 @@ def test_instance_hypothesis_checks():
         LemmaInstance("3.7", basis_vector(k=1), omega_index=1)
 
 
+def test_structured_instances_satisfy_no_other_rule():
+    # random_instance reaches all eight reduction rules, the 3.11.x
+    # endgames included, which short random words may never hit
+    rng = random.Random(0x0E1)
+    idents = sorted(set(RULES) - {"3.5"})
+    for ident in idents:
+        for _ in range(20):
+            uw = random_instance(ident, rng).uw
+            for other in idents:
+                if other != ident:
+                    with pytest.raises(HypothesisViolated):
+                        LemmaInstance(other, uw)
+
+
 def test_every_rule_verifies_on_random_instances():
     rng = random.Random(0xF1D0)
     for ident in sorted(RULES):
@@ -694,13 +708,21 @@ def test_exactly_one_reduction_rule_applies(word_list, psi):
     for word in word_list:
         v = v + act_word(word, w_vector(), psi)
     assume(v)
-    ctx = RuleContext(v)
-    assume(ctx.deg != TRIPLE_MIN)
-    holding = [ident for ident, rule in RULES.items()
-               if ident != "3.5" and not rule.hypotheses(ctx)]
+    assume(RuleContext(v).deg != TRIPLE_MIN)
+    holding = []
+    for ident in RULES:
+        if ident == "3.5":
+            continue
+        try:
+            holding.append(LemmaInstance(ident, v))
+        except HypothesisViolated:
+            pass
     assert len(holding) == 1, holding
+    # the congruence is checked by exact computation, apart from the
+    # classifier that accepted the instance
+    assert verify_lemma(holding[0], psi).passed
     _, transcript = reduce_to_whittaker(v, psi)
-    assert transcript.steps[0].rule == holding[0]
+    assert transcript.steps[0].rule == holding[0].ident
 
 
 def test_omega_rule_has_zero_leading_term():
