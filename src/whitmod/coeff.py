@@ -27,6 +27,18 @@ class SingularPsi(ValueError):
     """Raised when a specialized type value is zero; the type must be nonsingular."""
 
 
+def exact_int(value, what: str, minimum: int | None = None) -> int:
+    """value when it is an int (at least minimum, if given); else ValueError naming what.
+
+    Nothing is converted: a bool, a float or a digit string is refused.
+    """
+    if type(value) is not int:
+        raise ValueError("%s must be an int, got %r" % (what, value))
+    if minimum is not None and value < minimum:
+        raise ValueError("%s must be at least %d, got %d" % (what, minimum, value))
+    return value
+
+
 def add_term(out: dict, key, c):
     """out[key] += c for a nonzero c, dropping the key when the sum is zero."""
     tot = out.get(key)
@@ -58,11 +70,13 @@ class LinearCombination:
 
     The base of Scalar, LieElt and ModuleVector.  It owns the sparse dict
     and everything that treats it as a vector: negation, sums, scalar
-    multiples, equality and hashing.  A subclass names its keys and
-    coefficients through _key and _coefficient, which validate input to
-    the constructor; results of arithmetic are built by _like from dicts
-    that are already clean.  The representation is canonical, so == and
-    hash are structural.
+    multiples, equality and hashing.  The constructor takes a dict or a
+    list of (key, coefficient) pairs, whose repeated keys add up; a
+    subclass names its keys and coefficients through _key and
+    _coefficient, which validate each pair before any two are merged.
+    Results of arithmetic are built by _like from dicts that are already
+    clean.  The representation is canonical, so == and hash are
+    structural.
     """
 
     __slots__ = ("_terms",)
@@ -70,7 +84,7 @@ class LinearCombination:
     def __init__(self, terms=None):
         clean = {}
         if terms:
-            for key, coeff in terms.items():
+            for key, coeff in terms.items() if isinstance(terms, dict) else terms:
                 key = self._key(key)
                 c = self._coefficient(coeff)
                 if c:
@@ -144,10 +158,9 @@ class Scalar(LinearCombination):
     __slots__ = ()
 
     def _key(self, exps):
-        e = (int(exps[0]), int(exps[1]), int(exps[2]))
-        if min(e) < 0:
-            raise ValueError("negative exponent in scalar monomial: %r" % (e,))
-        return e
+        if len(exps) != 3:
+            raise ValueError("a scalar monomial needs exactly three exponents, got %r" % (exps,))
+        return tuple(exact_int(e, "a scalar exponent", 0) for e in exps)
 
     @staticmethod
     def _coefficient(value) -> Fraction:
@@ -287,28 +300,21 @@ class Scalar(LinearCombination):
 
     @staticmethod
     def from_json(data: dict) -> "Scalar":
-        terms = {}
+        pairs = []
         for mono in data["monomials"]:
-            e = mono["e"]
-            if not (isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e)):
-                raise ValueError("an exponent list needs exactly three integers, got %r" % (e,))
-            e = tuple(e)
-            if max(e, default=0) > MAX_EXPONENT:
-                raise ValueError("exponent %d exceeds the bound %d" % (max(e), MAX_EXPONENT))
             den = _json_int(mono["den"])
             if den == 0:
                 raise ValueError("a coefficient has the denominator 0")
-            terms[e] = terms.get(e, Fraction(0)) + Fraction(_json_int(mono["num"]), den)
-        return Scalar(terms)
+            pairs.append((mono["e"], Fraction(_json_int(mono["num"]), den)))
+        s = Scalar(pairs)
+        if any(max(e) > MAX_EXPONENT for e in s._terms):
+            raise ValueError("an exponent exceeds the bound %d" % MAX_EXPONENT)
+        return s
 
 
 def _json_int(value) -> int:
     """A JSON coefficient part: an int, or the string of one that to_json writes."""
-    if isinstance(value, str):
-        return int(value)
-    if type(value) is not int:
-        raise ValueError("a numerator or denominator must be an integer, got %r" % (value,))
-    return value
+    return exact_int(int(value) if isinstance(value, str) else value, "a numerator or denominator")
 
 
 def _raw(terms: dict) -> Scalar:

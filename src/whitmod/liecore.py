@@ -16,7 +16,7 @@ import operator
 
 from .coeff import (
     ONE, LinearCombination, PsiSpec, SYMBOLIC, Scalar, ZERO, add_term, as_scalar,
-    attach_coefficient, join_signed,
+    attach_coefficient, exact_int, join_signed,
 )
 
 
@@ -82,14 +82,15 @@ class LieElt(LinearCombination):
     __slots__ = ("n",)
 
     def __init__(self, n: int, terms=None):
-        if n < 2:
+        if exact_int(n, "the rank") < 2:
             raise OutOfRange("rank must be at least 2, got %d" % n)
         self.n = n
         super().__init__(terms)
 
     def _key(self, key):
         i, alpha = key
-        alpha = tuple(int(x) for x in alpha)
+        i = exact_int(i, "a generator index")
+        alpha = tuple(exact_int(x, "a weight component") for x in alpha)
         if len(alpha) != self.n:
             raise OutOfRange("weight %r has rank != %d" % (alpha, self.n))
         if not 1 <= i <= self.n:
@@ -137,20 +138,13 @@ class LieElt(LinearCombination):
         }
 
     @staticmethod
-    def from_json(data: dict, n: int = 2) -> "LieElt":
-        terms = {}
-        for t in data["terms"]:
-            i, alpha = t["i"], t["alpha"]
-            if type(i) is not int or not (
-                    isinstance(alpha, list) and all(type(x) is int for x in alpha)):
-                raise ValueError("an operator term needs an integer i and a list of integers"
-                                 " alpha, got i=%r, alpha=%r" % (i, alpha))
-            key = (i, tuple(alpha))
-            terms[key] = terms.get(key, ZERO) + Scalar.from_json(t["coeff"])
-        ranks = {len(alpha) for (_, alpha) in terms} or {n}
+    def from_json(data: dict) -> "LieElt":
+        """The element data describes; one without terms has rank 2."""
+        pairs = [((t["i"], t["alpha"]), Scalar.from_json(t["coeff"])) for t in data["terms"]]
+        ranks = {len(alpha) for (_, alpha), _ in pairs} or {2}
         if len(ranks) > 1:
             raise ValueError("mixed weight ranks in element")
-        return LieElt(ranks.pop(), terms)
+        return LieElt(ranks.pop(), pairs)
 
 
 def format_generator(i: int, alpha: Weight) -> str:
@@ -161,7 +155,7 @@ def format_generator(i: int, alpha: Weight) -> str:
 
 def d(i: int, alpha, coeff=1) -> LieElt:
     """The basis derivation d_i(alpha), optionally scaled."""
-    alpha = tuple(int(x) for x in alpha)
+    alpha = tuple(alpha)
     return LieElt(len(alpha), {(i, alpha): as_scalar(coeff)})
 
 
@@ -237,9 +231,9 @@ def bracket_decomposition(i: int, alpha, corrected: bool = True):
     two-term combination as i != n; that combination sums to twice
     d_n(alpha), and is kept only so the discrepancy stays observable.
     """
-    alpha = tuple(int(x) for x in alpha)
+    alpha = tuple(exact_int(x, "a weight component") for x in alpha)
     n = len(alpha)
-    if not 1 <= i <= n:
+    if not 1 <= exact_int(i, "a generator index") <= n:
         raise OutOfRange("index %d outside 1..%d" % (i, n))
     if not is_positive(alpha):
         raise OutOfRange("weight %r is not positive" % (alpha,))

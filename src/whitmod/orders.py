@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .liecore import Weight, is_positive, weight_add, zero_weight
+from .coeff import exact_int
+from .liecore import Weight, weight_add, zero_weight
 
 
 class Partition(tuple):
@@ -40,8 +41,11 @@ class Partition(tuple):
     def __new__(cls, entries=()):
         clean = []
         for entry in entries:
-            entry = (int(entry[0]), int(entry[1]))
-            if not is_positive(entry):
+            if len(entry) != 2:
+                raise ValueError("a partition entry needs exactly two integers, got %r" % (entry,))
+            entry = (exact_int(entry[0], "a partition entry"),
+                     exact_int(entry[1], "a partition entry"))
+            if entry <= (0, 0):
                 raise ValueError("partition entries must be lex-positive, got %r" % (entry,))
             clean.append(entry)
         clean.sort()
@@ -96,10 +100,7 @@ class Partition(tuple):
 
     @staticmethod
     def from_json(data) -> "Partition":
-        for e in data:
-            if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
-                raise ValueError("a partition entry needs exactly two integers, got %r" % (e,))
-        return Partition(tuple(e) for e in data)
+        return Partition(data)
 
 
 EMPTY = Partition()
@@ -143,7 +144,8 @@ class Triple(NamedTuple):
 
     @staticmethod
     def from_json(data) -> "Triple":
-        return Triple(Partition.from_json(data["lambda"]), Partition.from_json(data["mu"]), int(data["k"]))
+        return Triple(Partition(data["lambda"]), Partition(data["mu"]),
+                      exact_int(data["k"], "k", 0))
 
 
 TRIPLE_MIN = Triple(EMPTY, EMPTY, 0)

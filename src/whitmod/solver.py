@@ -48,13 +48,12 @@ from .coeff import (
     SYMBOLIC,
     SingularPsi,
     add_term,
+    exact_int,
     poly_gcd,
 )
 from .liecore import (
     Weight,
     weight_add,
-    weight_cmp,
-    is_positive,
     d,
     psi_eval,
 )
@@ -115,32 +114,20 @@ class Truncation:
     """
 
     def __init__(self, cap, entries, kmax, rmax, lmax=None):
-        cap = (int(cap[0]), int(cap[1]))
-        if weight_cmp(cap, (0, 0)) < 0:
-            raise ValueError("the weight-sum cap must be lex-nonnegative, got %r" % (cap,))
-        pool = sorted({(int(e[0]), int(e[1])) for e in entries})
-        for e in pool:
-            if not is_positive(e):
-                raise ValueError("entry pool must be lex-positive, got %r" % (e,))
-        kmax = int(kmax)
-        rmax = int(rmax)
-        if kmax < 0 or rmax < 0:
-            raise ValueError("kmax and rmax must be non-negative")
-        if lmax is not None:
-            lmax = int(lmax)
-            if lmax < 0:
-                raise ValueError("lmax must be non-negative")
+        cap = tuple(exact_int(c, "a cap component") for c in cap)
+        if len(cap) != 2 or cap < (0, 0):
+            raise ValueError("the weight-sum cap must be two ints, lex-nonnegative, got %r" % (cap,))
         if cap[0] > 0 and lmax is None:
             raise ValueError(
                 "an entry-count bound (lmax) is required when the cap allows "
                 "positive first components"
             )
         self.cap = cap
-        self.entries = tuple(pool)
-        self._pool = frozenset(pool)
-        self.kmax = kmax
-        self.rmax = rmax
-        self.lmax = lmax
+        self.entries = Partition(entries).support()
+        self._pool = frozenset(self.entries)
+        self.kmax = exact_int(kmax, "kmax", 0)
+        self.rmax = exact_int(rmax, "rmax", 0)
+        self.lmax = None if lmax is None else exact_int(lmax, "lmax", 0)
 
     def _key(self):
         return (self.cap, self.entries, self.kmax, self.rmax, self.lmax)
@@ -169,7 +156,7 @@ class Truncation:
                 return
             for j in range(start, len(pool)):
                 t2 = weight_add(total, pool[j])
-                if weight_cmp(t2, self.cap) > 0:
+                if t2 > self.cap:
                     # pool is lex-ascending and sums are translation
                     # monotone, so later entries overshoot as well
                     break
@@ -199,7 +186,7 @@ class Truncation:
         if self.lmax is not None and len(mono.lam) + len(mono.mu) > self.lmax:
             return False
         total = weight_add(mono.lam.weight_sum(), mono.mu.weight_sum())
-        return weight_cmp(total, self.cap) <= 0
+        return total <= self.cap
 
     def contains_vector(self, v: ModuleVector) -> bool:
         return all(self.contains(mono) for mono in v._terms)
@@ -212,7 +199,7 @@ class Truncation:
         when only (0, m) entries fit).  The margin of 3 covers the
         (0,2)-shifts the congruence operators introduce.
         """
-        usable = [e for e in self.entries if weight_cmp(e, self.cap) <= 0]
+        usable = [e for e in self.entries if e <= self.cap]
         m1 = self.cap[0]
         if self.lmax is not None:
             worst = max((abs(e[1]) for e in usable), default=0)
@@ -239,9 +226,8 @@ class Truncation:
 
     @staticmethod
     def from_json(data) -> "Truncation":
-        return Truncation(tuple(data["cap"]),
-                          [tuple(e) for e in data["entries"]],
-                          data["kmax"], data["rmax"], data.get("lmax"))
+        return Truncation(data["cap"], data["entries"], data["kmax"], data["rmax"],
+                          data.get("lmax"))
 
 
 # ---------------------------------------------------------------------------
@@ -1131,7 +1117,7 @@ def random_instance(ident, rng) -> LemmaInstance:
 
     if ident in ("3.8.1", "3.8.2"):
         alpha = rng.choice(_MIXED if ident == "3.8.1" else _ZERO_FIRST)
-        extras = [e for e in _ZERO_FIRST + _MIXED if weight_cmp(e, alpha) >= 0]
+        extras = [e for e in _ZERO_FIRST + _MIXED if e >= alpha]
         mu = Partition([alpha] * rng.randint(1, 2)
                        + [rng.choice(extras) for _ in range(rng.randint(0, 2))])
         top = Triple(_rand_partition(rng, _ZERO_FIRST + _MIXED), mu, 0)
@@ -1141,7 +1127,7 @@ def random_instance(ident, rng) -> LemmaInstance:
 
     if ident == "3.9":
         alpha = rng.choice(_MIXED)
-        later = [e for e in _MIXED if weight_cmp(e, alpha) >= 0]
+        later = [e for e in _MIXED if e >= alpha]
         lam = Partition([alpha] * rng.randint(1, 2)
                         + [rng.choice(later) for _ in range(rng.randint(0, 1))]
                         + [rng.choice(_ZERO_FIRST) for _ in range(rng.randint(0, 2))])
@@ -1160,7 +1146,7 @@ def random_instance(ident, rng) -> LemmaInstance:
     parts = {top: _rand_poly(rng)}
 
     def below_lower(t):
-        return weight_cmp(t.weight_sum(), (0, n - 1)) < 0
+        return t.weight_sum() < (0, n - 1)
 
     if ident == "3.10":
         # same-level company is allowed, the next level down must be empty

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .coeff import (
     ONE, LinearCombination, PsiSpec, SYMBOLIC, Scalar, ZERO, ZPoly, add_term, as_scalar,
-    attach_coefficient, join_signed,
+    attach_coefficient, exact_int, join_signed,
 )
 from .liecore import (
     LieElt,
@@ -102,17 +102,14 @@ class BasisMonomial(NamedTuple):
         }
 
     @staticmethod
+    def of(lam=EMPTY, mu=EMPTY, k=0, r=0) -> "BasisMonomial":
+        """The monomial built from caller data, its partitions and exponents checked."""
+        return BasisMonomial(Partition(lam), Partition(mu),
+                             exact_int(k, "k", 0), exact_int(r, "r", 0))
+
+    @staticmethod
     def from_json(data) -> "BasisMonomial":
-        mono = BasisMonomial(
-            Partition.from_json(data["lambda"]),
-            Partition.from_json(data["mu"]),
-            data["k"],
-            data["r"],
-        )
-        if type(mono.k) is not int or type(mono.r) is not int:
-            raise ValueError("k and r must be integers, got k=%r, r=%r" % (mono.k, mono.r))
-        if mono.k < 0 or mono.r < 0:
-            raise ValueError("k and r must be non-negative, got k=%d, r=%d" % (mono.k, mono.r))
+        mono = BasisMonomial.of(data["lambda"], data["mu"], data["k"], data["r"])
         length = len(mono.lam) + len(mono.mu) + mono.k + mono.r
         if length > MAX_WORD_LENGTH:
             raise ValueError("a monomial of %d factors exceeds the word bound %d"
@@ -181,11 +178,8 @@ class ModuleVector(LinearCombination):
 
     @staticmethod
     def from_json(data) -> "ModuleVector":
-        terms = {}
-        for t in data["terms"]:
-            mono = BasisMonomial.from_json(t)
-            terms[mono] = terms.get(mono, ZERO) + Scalar.from_json(t["coeff"])
-        return ModuleVector(terms)
+        return ModuleVector([(BasisMonomial.from_json(t), Scalar.from_json(t["coeff"]))
+                             for t in data["terms"]])
 
 
 def _raw_vector(terms: dict) -> ModuleVector:
@@ -195,13 +189,7 @@ def _raw_vector(terms: dict) -> ModuleVector:
 
 
 def basis_vector(lam=EMPTY, mu=EMPTY, k: int = 0, r: int = 0, coeff=1) -> ModuleVector:
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    if not isinstance(mu, Partition):
-        mu = Partition(mu)
-    if k < 0 or r < 0:
-        raise ValueError("k and r must be non-negative")
-    return ModuleVector({BasisMonomial(lam, mu, k, r): as_scalar(coeff)})
+    return ModuleVector({BasisMonomial.of(lam, mu, k, r): as_scalar(coeff)})
 
 
 def w_vector() -> ModuleVector:
