@@ -19,7 +19,9 @@ argument starting with ``{`` is instead decoded from the JSON schema the
 or three comma-separated rationals; when absent, the ``WHIT_PSI``
 environment variable is consulted before defaulting to symbolic.  The
 rationals of ``--psi`` and ``--a`` are written ``p/q`` or as decimals;
-exponent notation is refused.
+exponent notation is refused.  An integer in the input may have at most
+Python's bound on int digits (4300 by default); outputs are printed
+exactly, at any size.
 
 Exit codes: 0 success, 1 verification or probe failure, 2 malformed
 input (an operator of the wrong rank included), 3 singular (zero or
@@ -122,11 +124,24 @@ def _truncation(args):
         raise ParseError(str(e), 0, ())
 
 
-def _emit(args, text_value, json_value):
+def _unbounded_output():
+    """Lift Python's bound on the digits of an int printed from here on.
+
+    The bound stays while the arguments are read, so an oversized input
+    integer is a parse error; the results, computed exactly, may exceed
+    it.  main restores the bound before it returns.
+    """
+    sys.set_int_max_str_digits(0)
+
+
+def _emit(args, value, json_key=None):
+    """Print value as text, or its JSON (wrapped under json_key when given)."""
+    _unbounded_output()
     if args.format == "json":
-        print(json.dumps(json_value))
+        data = value.to_json()
+        print(json.dumps({json_key: data} if json_key else data))
     else:
-        print(text_value)
+        print(value)
 
 
 def _transcript_lines(transcript):
@@ -141,8 +156,7 @@ def _transcript_lines(transcript):
 def _cmd_bracket(args):
     x = _lie_arg(args.x)
     y = _lie_arg(args.y, rank=x.n)
-    z = bracket(x, y)
-    _emit(args, str(z), z.to_json())
+    _emit(args, bracket(x, y))
     return EXIT_OK
 
 
@@ -150,15 +164,14 @@ def _cmd_act(args):
     psi = _psi_of(args)
     x = _lie_arg(args.x, rank=2)
     v = _vector_arg(args.vector, psi)
-    out = act(x, v, psi)
-    _emit(args, str(out), out.to_json())
+    _emit(args, act(x, v, psi))
     return EXIT_OK
 
 
 def _cmd_nf(args):
     psi = _psi_of(args)
     v = _vector_arg(args.vector, psi)
-    _emit(args, str(v), v.to_json())
+    _emit(args, v)
     return EXIT_OK
 
 
@@ -166,6 +179,7 @@ def _cmd_wvectors(args):
     psi = _psi_of(args)
     trunc = _truncation(args)
     space = whittaker_space(trunc, psi)
+    _unbounded_output()
     if args.format == "json":
         print(json.dumps({"truncation": trunc.to_json(),
                           "size": len(space),
@@ -183,6 +197,7 @@ def _cmd_reduce(args):
     psi = _psi_of(args)
     v = _vector_arg(args.vector, psi)
     poly, transcript = reduce_to_whittaker(v, psi, max_steps=args.max_steps)
+    _unbounded_output()
     if args.format == "json":
         print(json.dumps({"poly": poly.to_json(),
                           "transcript": transcript.to_json()}))
@@ -198,8 +213,7 @@ def _cmd_ideal(args):
     psi = _psi_of(args)
     trunc = _truncation(args)
     gens = [_vector_arg(t, psi) for t in args.vectors]
-    g = submodule_generator(gens, trunc, psi)
-    _emit(args, str(g), {"poly": g.to_json()})
+    _emit(args, submodule_generator(gens, trunc, psi), "poly")
     return EXIT_OK
 
 
@@ -207,8 +221,7 @@ def _cmd_quotient_act(args):
     psi = _psi_of(args)
     x = _lie_arg(args.x, rank=2)
     v = _vector_arg(args.vector, psi)
-    out = quotient_act(x, v, parse_rational(args.a), psi)
-    _emit(args, str(out), out.to_json())
+    _emit(args, quotient_act(x, v, parse_rational(args.a), psi))
     return EXIT_OK
 
 
@@ -216,7 +229,7 @@ def _cmd_probe(args):
     psi = _psi_of(args)
     v = _vector_arg(args.vector, psi)
     c = simplicity_probe(v, parse_rational(args.a), psi)
-    _emit(args, str(c), c.to_json())
+    _emit(args, c)
     if not c:
         return EXIT_MISMATCH
     return EXIT_OK
@@ -247,6 +260,7 @@ def _cmd_verify(args):
             inst = random_instance(ident, rng)
             reports.append((trial, verify_lemma(inst, psi, stated=args.stated)))
     failures = sum(1 for _, r in reports if not r.passed)
+    _unbounded_output()
     if args.format == "json":
         print(json.dumps({
             "mode": "stated" if args.stated else "verified",
@@ -357,6 +371,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    digits = sys.get_int_max_str_digits()
     try:
         return args.func(args)
     except ParseError as e:
@@ -371,6 +386,8 @@ def main(argv=None):
     except (NonDescent, NonTermination, HypothesisViolated) as e:
         print("internal invariant violation: %s" % e, file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

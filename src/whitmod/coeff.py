@@ -6,6 +6,10 @@ homomorphism.  Plain rationals are the constant polynomials.  ZPoly is a
 univariate polynomial in z whose coefficients are Scalars.  Everything here
 is immutable, hashable and exact; nothing is ever rounded.
 
+exact_int is the one integer check: each constructor of the package
+calls it where its value is built, and the from_json readers hand their
+data to those constructors.  exact_rational is its rational sibling.
+
 LinearCombination, the sparse dict of nonzero terms with its sums,
 scalar multiples, equality and hashing, is the one base of Scalar,
 liecore.LieElt and wmod.ModuleVector; add_term and join_signed beside it
@@ -37,6 +41,13 @@ def exact_int(value, what: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError("%s must be at least %d, got %d" % (what, minimum, value))
     return value
+
+
+def exact_rational(value, what: str) -> Fraction:
+    """value as a Fraction when it is an int or a Fraction; ValueError otherwise."""
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(exact_int(value, what))
 
 
 def add_term(out: dict, key, c):
@@ -164,11 +175,7 @@ class Scalar(LinearCombination):
 
     @staticmethod
     def _coefficient(value) -> Fraction:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise TypeError("expected an int or Fraction, got %r" % (value,))
+        return exact_rational(value, "a scalar coefficient")
 
     @staticmethod
     def rational(p, q=1) -> "Scalar":
@@ -382,7 +389,7 @@ class PsiSpec:
 
     def __init__(self, values=None):
         if values is not None:
-            values = tuple(Fraction(v) for v in values)
+            values = tuple(exact_rational(v, "a type value") for v in values)
             if len(values) != 3:
                 raise ValueError("a specialized type needs exactly three values")
             if any(v == 0 for v in values):

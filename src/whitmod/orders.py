@@ -3,9 +3,11 @@
 A Partition is a finite multiset of lex-positive rank-two weights: a
 tuple subclass holding its entries non-decreasing (tuple comparison is the
 lex order, so plain sorting does the right thing).  Entries like (1, -2)
-are legal: positivity is lexicographic, not coordinatewise.  A Partition
-equals a plain tuple of the same entries; the orders below go through
-sort keys only.  Partitions sit in the keys of module vectors, whose
+are legal: positivity is lexicographic, not coordinatewise.  The
+constructor is the one check of entries, JSON ones included: each is a
+list or tuple of exactly two ints, never rounded.  A Partition equals a
+plain tuple of the same entries; the orders below go through sort keys
+only.  Partitions sit in the keys of module vectors, whose
 linear-combination base is coeff.LinearCombination.
 
 Two total orders on partitions are provided.  partition_lt compares

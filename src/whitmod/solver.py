@@ -49,6 +49,7 @@ from .coeff import (
     SingularPsi,
     add_term,
     exact_int,
+    exact_rational,
     poly_gcd,
 )
 from .liecore import (
@@ -116,7 +117,8 @@ class Truncation:
     def __init__(self, cap, entries, kmax, rmax, lmax=None):
         cap = tuple(exact_int(c, "a cap component") for c in cap)
         if len(cap) != 2 or cap < (0, 0):
-            raise ValueError("the weight-sum cap must be two ints, lex-nonnegative, got %r" % (cap,))
+            raise ValueError("the weight-sum cap must be two ints, lex-nonnegative, got %r"
+                             % (cap,))
         if cap[0] > 0 and lmax is None:
             raise ValueError(
                 "an entry-count bound (lmax) is required when the cap allows "
@@ -607,8 +609,8 @@ def reduce_to_whittaker(v: ModuleVector, spec: PsiSpec = SYMBOLIC, max_steps=100
 
 
 def quotient_project(v: ModuleVector, a) -> ModuleVector:
-    """Image of v under z -> a: each z-exponent becomes the factor a^r."""
-    a = Fraction(a)
+    """Image of v under z -> a, an int or Fraction: each z-exponent becomes the factor a^r."""
+    a = exact_rational(a, "the value a of z")
     terms = {}
     for mono, c in v._terms.items():
         if mono.r:

@@ -18,7 +18,8 @@ Grammar (whitespace insensitive):
 Vector factors are applied to w rightmost first, through the module
 action, so positive factors in the input are legal and evaluate through
 the type homomorphism.  A vterm holds at most MAX_WORD_LENGTH factors,
-powers counted out, and an svar exponent is at most MAX_EXPONENT.
+powers counted out, an svar exponent is at most MAX_EXPONENT, and an
+integer has at most Python's bound on int digits (4300 by default).
 Formatting is handled by the classes' __str__; this module owns parsing
 and raises ParseError with the offending offset and the expected-token
 set.
@@ -26,6 +27,7 @@ set.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .coeff import MAX_EXPONENT, ONE, PsiSpec, SYMBOLIC, Scalar
@@ -55,7 +57,11 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("INT", int(text[i:j]), i))
+            try:
+                tokens.append(("INT", int(text[i:j]), i))
+            except ValueError:  # over Python's bound on the digits of an int
+                raise ParseError("an integer of %d digits at offset %d exceeds the bound %d"
+                                 % (j - i, i, sys.get_int_max_str_digits()), i, ()) from None
             i = j
             continue
         if ch.isalpha():

@@ -5,6 +5,9 @@ d_1 factors prescribed by lambda, weight-negative d_2 factors prescribed
 by mu, k copies of h2 = d_2(0,0) and r copies of z = d_1(0,0), applied to
 the cyclic vector w.  A ModuleVector is a finite Scalar-combination of
 those, built on coeff.LinearCombination like Scalar and LieElt.
+BasisMonomial.of is the one checked builder of a monomial from caller
+data, for basis_vector and from_json alike; the engine builds the
+NamedTuple directly from data that is already clean.
 
 act straightens into this basis by PBW left-multiplication (de Graaf,
 Lie Algebras: Theory and Algorithms, 2000).  A word is a tuple of

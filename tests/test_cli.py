@@ -1,11 +1,13 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
 from whitmod.cli import main
 from whitmod.coeff import MAX_EXPONENT, PsiSpec, Scalar, ZPoly
 from whitmod.liecore import LieElt, bracket, d
-from whitmod.solver import quotient_act
+from whitmod.solver import quotient_act, simplicity_probe
 from whitmod.textio import parse_lie, parse_vector
 from whitmod.wmod import MAX_WORD_LENGTH, ModuleVector, act_word, basis_vector, w_vector
 
@@ -264,6 +266,9 @@ def _exponents(e):
 
 
 HUGE_EXPONENT = _exponents([10 ** 9, 0, 0])
+# more digits than Python's default bound of 4300 on int <-> str conversion
+OVER_DIGITS = "1" * 4400
+ONE_TERM = _vector_json(coeff=_exponents([0, 0, 0]))  # num "1", den "1"
 RANK3 = json.dumps(d(1, (0, 1, 0)).to_json())
 RANK3_OTHER = json.dumps(d(3, (1, 0, -1)).to_json())
 
@@ -297,6 +302,12 @@ MALFORMED = {
     "psi-exponent": ["nf", "w", "--psi", "1e1000000,1,1"],
     "a-exponent": ["probe", "h2 w", "--a", "1e1000000", "--psi", "1,2,3"],
     "negative-random": ["verify", "all", "--random", "-3"],
+    "digits-text": ["nf", OVER_DIGITS + " * w"],
+    "digits-text-weight": ["nf", "d1(-%s,0) w" % OVER_DIGITS],
+    "digits-json": ["nf", ONE_TERM.replace('"1"', OVER_DIGITS, 1)],
+    "digits-json-string": ["nf", ONE_TERM.replace('"1"', '"%s"' % OVER_DIGITS)],
+    "digits-psi": ["nf", "w", "--psi", OVER_DIGITS + ",1,1"],
+    "digits-a": ["probe", "h2 w", "--a", "1/" + OVER_DIGITS, "--psi", "1,2,3"],
 }
 
 
@@ -324,3 +335,41 @@ def test_bracket_of_two_rank_three_operators(capsys):
     x, y = LieElt.from_json(json.loads(RANK3)), LieElt.from_json(json.loads(RANK3_OTHER))
     assert LieElt.from_json(json.loads(out)) == bracket(x, y)
     assert bracket(x, y)
+
+
+def _unbounded(render):
+    """render() with Python's bound on int digits lifted, then restored."""
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return render()
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
+NINES = "9" * 100  # z^400 of it has 40000 digits, over the bound
+
+
+def test_values_over_the_digit_bound_print_exactly(capsys):
+    code, out, _ = run(capsys, "quotient-act", "d2(0,2)", "z^400 w", "--a", NINES,
+                       "--psi", "1,2,3")
+    assert code == 0
+    # d2(0,2) commutes with z and acts on w by the third type value
+    assert out == _unbounded(lambda: "%d * w\n" % (3 * int(NINES) ** 400))
+    code, out, _ = run(capsys, "probe", "z^400 h2 w", "--a", NINES, "--psi", "1,2,3",
+                       "--format", "json")
+    assert code == 0
+    c = simplicity_probe(basis_vector(k=1, r=400), Fraction(int(NINES)), PSI123)
+    assert json.loads(out) == _unbounded(c.to_json)
+    assert len(json.loads(out)["monomials"][0]["num"]) > 40000
+
+
+@pytest.mark.parametrize("argv", [
+    ["quotient-act", "d2(0,2)", "z^400 w", "--a", NINES, "--psi", "1,2,3"],
+    ["nf", OVER_DIGITS + " * w"],
+    ["reduce", "w - w"],
+], ids=["printed", "parse-error", "probe-failure"])
+def test_main_restores_the_digit_bound(capsys, argv):
+    before = sys.get_int_max_str_digits()
+    run(capsys, *argv)
+    assert sys.get_int_max_str_digits() == before

@@ -37,6 +37,7 @@ from whitmod.wmod import (
     basis_vector,
     is_whittaker,
     w_vector,
+    weight_box,
 )
 
 S1, S2, S3 = (Scalar.generator(j) for j in (1, 2, 3))
@@ -259,6 +260,30 @@ def test_whittaker_space_is_the_z_line():
         assert is_whittaker(v, PSI123)
         for mono, _ in v.terms():
             assert mono.lam == EMPTY and mono.mu == EMPTY and mono.k == 0
+
+
+# a slice whose entries have positive first components, (1,.) ones included
+POSITIVE_FIRST = Truncation((1, 0), [(0, 1), (1, -1), (1, 0), (1, 1)], kmax=1, rmax=1, lmax=3)
+
+
+@pytest.mark.parametrize("spec", [PSI123, PsiSpec.of(-2, 1, -3)], ids=str)
+def test_whittaker_space_of_a_positive_first_slice(monkeypatch, spec):
+    assert len(POSITIVE_FIRST.basis()) == 72
+    z_line = {w_vector(), basis_vector(r=1)}
+    assert set(whittaker_space(POSITIVE_FIRST, spec)) == z_line
+    # three more steps of operators in every direction find nothing more
+    narrow = Truncation.induced_box
+
+    def wider(trunc):
+        box = narrow(trunc)
+        return weight_box(max(a for a, _ in box) + 3, max(abs(b) for _, b in box) + 3)
+
+    monkeypatch.setattr(Truncation, "induced_box", wider)
+    _slice_table.cache_clear()
+    try:
+        assert set(whittaker_space(POSITIVE_FIRST, spec)) == z_line
+    finally:
+        _slice_table.cache_clear()
 
 
 def test_whittaker_space_needs_specialized_type():
