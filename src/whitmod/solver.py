@@ -20,13 +20,13 @@ This module bundles the computations that sit above raw straightening:
   reduction, rule by rule.  ``RULES`` holds each rule once, under an
   opaque string identifier ("3.5" through "3.11.3"); these are the
   names the command line front end accepts and are kept stable.  Each
-  entry gives the rule's operator, target triple and leading
-  coefficient as functions of a ``RuleContext``, which the reduction
-  and the verification both read; a ``LemmaInstance`` of a reduction
-  rule is accepted exactly where ``_rule_at`` names that rule.  Three
-  rules carry errata notes on their printed statement; the printed
-  coefficients of 3.11.2 (not evaluable) and 3.11.3 (the wrong type
-  value) disagree with exact computation, and only ``stated`` mode
+  rule has one statement: a function giving, at a ``RuleContext``, its
+  operator, target triple, z-polynomial and leading coefficient, which
+  the reduction and the verification both read; a ``LemmaInstance`` of
+  a reduction rule is accepted exactly where ``_rule_at`` names that
+  rule.  Three rules carry errata notes on their printed statement; the
+  printed coefficients of 3.11.2 (not evaluable) and 3.11.3 (the wrong
+  type value) disagree with exact computation, and only ``stated`` mode
   checks them.  The engine's value is authoritative and the
   discrepancy is reported, never silently absorbed.
 
@@ -556,8 +556,8 @@ def _step_choice(ctx):
     ident = _rule_at(ctx)
     if ident is None:
         raise NonDescent("no reduction rule applies at degree %s" % (ctx.deg,))
-    i, alpha = RULES[ident].operator(ctx)
-    return ident, i, alpha, (ctx.deg.k if ident == "3.7" else 1)
+    stated = RULES[ident].statement(ctx)
+    return ident, stated.i, stated.alpha, (ctx.deg.k if ident == "3.7" else 1)
 
 
 def _run_reduction(v: ModuleVector, psi: PsiSpec, a=None, max_steps=10000):
@@ -748,23 +748,27 @@ class RuleContext:
         self.lower_top = triple_max(lower) if lower else None
 
 
+class Statement(NamedTuple):
+    """What a rule states at a context: with D = d_i(alpha), (D - psi(D)) u w
+    is congruent to coefficient * poly(z) x_target w modulo everything below
+    target.  The coefficient is (rational, type-value index or None), as
+    exact computation gives it."""
+
+    i: int
+    alpha: Weight
+    target: Triple
+    poly: ZPoly
+    coefficient: tuple
+
+
 class Rule(NamedTuple):
-    """A registered congruence rule; each field is a function of a context.
+    """A registered congruence rule: its statement as a function of a context,
+    the errata of its printed form, and the map from the computed coefficient
+    to the printed one (None where that cannot be evaluated)."""
 
-    ``operator`` picks (i, alpha); ``target`` the triple that is both
-    the leading monomial and the filtration modulus; ``poly`` the
-    attached z-polynomial; ``coefficient`` the leading coefficient as
-    (rational, type-value index or None), as exact computation gives it.
-    ``errata`` lists the documented discrepancies of the printed
-    statement.
-    """
-
-    ident: str
-    operator: object
-    target: object
-    poly: object
-    coefficient: object
-    errata: tuple
+    statement: object
+    errata: tuple = ()
+    printed: object = lambda coefficient: coefficient
 
 
 def _rule_at(ctx):
@@ -781,7 +785,7 @@ def _rule_at(ctx):
     if k > 0:
         return "3.7"
     if mu:
-        return "3.8.1" if _mu_min(ctx)[0] > 0 else "3.8.2"
+        return "3.8.1" if mu[0][0] > 0 else "3.8.2"
     if lam.positive_support():
         return "3.9"
     if not lam:
@@ -794,135 +798,83 @@ def _rule_at(ctx):
     return "3.11.2" if lower.mu else "3.11.3"
 
 
-def _mu_min(inst):
-    return min(inst.deg.mu.support())
+# One statement per rule.  Partitions hold their entries sorted, so p[0]
+# is the least entry of a nonempty p.
 
 
-def _pos_min(inst):
-    return min(inst.deg.lam.positive_support())
+def _omega(ctx):
+    return Statement(*OMEGA[ctx.omega_index], ctx.deg, ctx.lead_poly, (0, None))
 
 
-def _lam_min(inst):
-    return min(inst.deg.lam.support())
+def _lower_k(ctx):
+    lam, mu, k = ctx.deg
+    return Statement(2, TWO_EPS2, Triple(lam, mu, k - 1), ctx.lead_poly, (-2 * k, 3))
 
 
-def _eta_min(inst):
-    return min(inst.lower_top.mu.support())
+def _mu_positive_first(ctx):
+    lam, mu, _ = ctx.deg
+    beta = mu[0]
+    return Statement(1, weight_add(beta, TWO_EPS2), Triple(lam, mu.remove_one(beta), 0),
+                     ctx.lead_poly, (-beta[0] * mu.multiplicity(beta), 3))
 
 
-def _lead_poly(inst):
-    return inst.lead_poly
+def _mu_zero_first(ctx):
+    lam, mu, _ = ctx.deg
+    beta = mu[0]
+    return Statement(2, weight_add(beta, TWO_EPS2), Triple(lam, mu.remove_one(beta), 0),
+                     ctx.lead_poly, (-2 * (beta[1] + 1) * mu.multiplicity(beta), 3))
 
 
-def _lower_poly(inst):
-    return inst.polys[inst.lower_top]
+def _lam_positive_first(ctx):
+    lam = ctx.deg.lam
+    alpha = min(lam.positive_support())
+    return Statement(2, weight_add(alpha, TWO_EPS2), Triple(lam.remove_one(alpha), EMPTY, 0),
+                     ctx.lead_poly, (-alpha[0] * lam.multiplicity(alpha), 3))
 
 
-def _target_38(inst):
-    return Triple(inst.deg.lam, inst.deg.mu.remove_one(_mu_min(inst)), 0)
+def _lam_least(ctx):
+    lam = ctx.deg.lam
+    alpha = lam[0]
+    return Statement(2, weight_add(alpha, EPS2), Triple(lam.remove_one(alpha), EMPTY, 0),
+                     ctx.lead_poly, (-alpha[1] * lam.multiplicity(alpha), 1))
 
 
-# 3.10 and 3.11.3 apply the same operator to the same leading term
-def _op_lam_min(inst):
-    return (2, weight_add(_lam_min(inst), EPS2))
+def _lower_level_k(ctx):
+    lam, mu, k = lower = ctx.lower_top
+    return Statement(1, EPS2, Triple(lam, mu, k - 1), ctx.polys[lower], (-k, 1))
 
 
-def _target_lam_min(inst):
-    return Triple(inst.deg.lam.remove_one(_lam_min(inst)), EMPTY, 0)
-
-
-def _coeff_lam_min(inst):
-    alpha = _lam_min(inst)
-    return (Fraction(-alpha[1] * inst.deg.lam.multiplicity(alpha)), 1)
+def _lower_level_mu(ctx):
+    lam, mu, _ = lower = ctx.lower_top
+    eta = mu[0]
+    return Statement(1, weight_add(eta, EPS2), Triple(lam, mu.remove_one(eta), 0),
+                     ctx.polys[lower], (-(eta[1] + 1) * mu.multiplicity(eta), 1))
 
 
 RULES = {
-    "3.5": Rule(
-        "3.5",
-        lambda inst: OMEGA[inst.omega_index],
-        lambda inst: inst.deg,
-        _lead_poly,
-        lambda inst: (Fraction(0), None),
-        (),
-    ),
-    "3.7": Rule(
-        "3.7",
-        lambda inst: (2, TWO_EPS2),
-        lambda inst: Triple(inst.deg.lam, inst.deg.mu, inst.deg.k - 1),
-        _lead_poly,
-        lambda inst: (Fraction(-2 * inst.deg.k), 3),
-        (),
-    ),
+    "3.5": Rule(_omega),
+    "3.7": Rule(_lower_k),
     "3.8.1": Rule(
-        "3.8.1",
-        lambda inst: (1, weight_add(_mu_min(inst), TWO_EPS2)),
-        _target_38,
-        _lead_poly,
-        lambda inst: (Fraction(-_mu_min(inst)[0] * inst.deg.mu.multiplicity(_mu_min(inst))), 3),
+        _mu_positive_first,
         ("the derivation's final display carries the opposite sign; the statement's "
-         "sign agrees with exact computation and is the one checked here",),
-    ),
-    "3.8.2": Rule(
-        "3.8.2",
-        lambda inst: (2, weight_add(_mu_min(inst), TWO_EPS2)),
-        _target_38,
-        _lead_poly,
-        lambda inst: (Fraction(-2 * (_mu_min(inst)[1] + 1)
-                               * inst.deg.mu.multiplicity(_mu_min(inst))), 3),
-        (),
-    ),
-    "3.9": Rule(
-        "3.9",
-        lambda inst: (2, weight_add(_pos_min(inst), TWO_EPS2)),
-        lambda inst: Triple(inst.deg.lam.remove_one(_pos_min(inst)), EMPTY, 0),
-        _lead_poly,
-        lambda inst: (Fraction(-_pos_min(inst)[0] * inst.deg.lam.multiplicity(_pos_min(inst))), 3),
-        (),
-    ),
-    "3.10": Rule(
-        "3.10",
-        _op_lam_min,
-        _target_lam_min,
-        _lead_poly,
-        _coeff_lam_min,
-        (),
-    ),
-    "3.11.1": Rule(
-        "3.11.1",
-        lambda inst: (1, EPS2),
-        lambda inst: Triple(inst.lower_top.lam, inst.lower_top.mu, inst.lower_top.k - 1),
-        _lower_poly,
-        lambda inst: (Fraction(-inst.lower_top.k), 1),
-        (),
-    ),
+         "sign agrees with exact computation and is the one checked here",)),
+    "3.8.2": Rule(_mu_zero_first),
+    "3.9": Rule(_lam_positive_first),
+    "3.10": Rule(_lam_least),
+    "3.11.1": Rule(_lower_level_k),
     "3.11.2": Rule(
-        "3.11.2",
-        lambda inst: (1, weight_add(_eta_min(inst), EPS2)),
-        lambda inst: Triple(inst.lower_top.lam, inst.lower_top.mu.remove_one(_eta_min(inst)), 0),
-        _lower_poly,
-        lambda inst: (Fraction(-(_eta_min(inst)[1] + 1)
-                               * inst.lower_top.mu.multiplicity(_eta_min(inst))), 1),
+        _lower_level_mu,
         ("the printed coefficient uses the weight beta itself as a scalar and cannot "
          "be evaluated; exact computation gives -(beta_2 + 1) times the multiplicity "
          "times the type value of d1((0,1))",),
-    ),
+        lambda coefficient: None),
+    # 3.11.3 states what 3.10 does, at a nonempty lower level
     "3.11.3": Rule(
-        "3.11.3",
-        _op_lam_min,
-        _target_lam_min,
-        _lead_poly,
-        _coeff_lam_min,
+        _lam_least,
         ("the printed coefficient carries the type value of d2((0,1)); exact "
          "computation gives the value of d1((0,1)), matching the parallel "
          "empty-lower-level rule",),
-    ),
-}
-
-# The printed coefficients that differ from the computed ones, in the
-# same form; None marks a printed form that cannot be evaluated.
-_PRINTED = {
-    "3.11.2": lambda inst: None,
-    "3.11.3": lambda inst: (_coeff_lam_min(inst)[0], 2),
+        lambda coefficient: (coefficient[0], 2)),
 }
 
 
@@ -1019,28 +971,25 @@ def verify_lemma(inst: LemmaInstance, spec: PsiSpec = SYMBOLIC,
     are reported through the errata field.
     """
     rule = RULES[inst.ident]
-    i, alpha = rule.operator(inst)
+    i, alpha, target, poly, coefficient = rule.statement(inst)
     gen = d(i, alpha)
     pv = psi_eval(gen, spec)
     uw = inst.uw if spec.is_symbolic() else inst.uw.specialize(spec)
     defect = act(gen, uw, spec) - pv * uw
-    target = rule.target(inst)
     computed_poly = defect.by_triple().get(target, ZPoly())
     computed = ModuleVector.from_triples({target: computed_poly})
     errata = rule.errata
-    coefficient = _PRINTED.get(inst.ident, rule.coefficient) if stated else rule.coefficient
-    coeff_spec = coefficient(inst)
-    if coeff_spec is None:
-        printed = None
-        match = False
+    if stated:
+        coefficient = rule.printed(coefficient)
+    if coefficient is None:
+        printed, match = None, False
         filtration_ok = in_filtration(defect, target)
         errata = errata + ("the stated coefficient is not evaluable",)
     else:
-        q, j = coeff_spec
+        q, j = coefficient
         c = Scalar.rational(q)
         if j is not None:
             c = c * spec.generator_value(j)
-        poly = rule.poly(inst)
         if not spec.is_symbolic():
             poly = poly.specialize(spec)
         poly = poly * c
