@@ -19,9 +19,10 @@ argument starting with ``{`` is instead decoded from the JSON schema the
 or three comma-separated rationals; when absent, the ``WHIT_PSI``
 environment variable is consulted before defaulting to symbolic.  The
 rationals of ``--psi`` and ``--a`` are written ``p/q`` or as decimals;
-exponent notation is refused.  An integer in the input may have at most
-Python's bound on int digits (4300 by default); outputs are printed
-exactly, at any size.
+exponent notation is refused.  An integer in the input, in these, in
+``--cap``/``--entries`` or in the text grammar, is written in the ASCII
+digits 0-9 only and may have at most Python's bound on int digits (4300
+by default); outputs are printed exactly, at any size.
 
 Exit codes: 0 success, 1 verification or probe failure, 2 malformed
 input (an operator of the wrong rank included), 3 singular (zero or
@@ -38,7 +39,7 @@ import sys
 
 from .coeff import SingularPsi
 from .liecore import LieElt, bracket
-from .textio import ParseError, parse_lie, parse_psi, parse_rational, parse_vector
+from .textio import ParseError, parse_int, parse_lie, parse_psi, parse_rational, parse_vector
 from .wmod import ModuleVector, ZeroVector, NonDescent, act
 from .solver import (
     NonTermination,
@@ -97,11 +98,9 @@ def _vector_arg(text, psi):
 def _pair(text):
     parts = text.split(",")
     if len(parts) != 2:
-        raise ParseError("expected a,b with two integers, got %r" % text, 0, ())
-    try:
-        return (int(parts[0]), int(parts[1]))
-    except ValueError:
-        raise ParseError("expected integers in %r" % text, 0, ())
+        raise ParseError("expected a,b with two integers, got %d comma-separated parts"
+                         % len(parts), 0, ())
+    return (parse_int(parts[0]), parse_int(parts[1]))
 
 
 def _entries(text):

@@ -185,7 +185,7 @@ class Scalar(LinearCombination):
     @staticmethod
     def generator(j: int) -> "Scalar":
         """The indeterminate s_j, j in {1, 2, 3}."""
-        if j not in (1, 2, 3):
+        if exact_int(j, "a generator index") not in (1, 2, 3):
             raise ValueError("generator index must be 1, 2 or 3")
         e = [0, 0, 0]
         e[j - 1] = 1
@@ -255,8 +255,8 @@ class Scalar(LinearCombination):
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = as_scalar(other)
+        if type(other) is int or isinstance(other, Fraction):
+            other = Scalar.rational(other)
         if not isinstance(other, Scalar):
             return NotImplemented
         return self._terms == other._terms
@@ -332,17 +332,22 @@ def _raw(terms: dict) -> Scalar:
 
 
 def _try_scalar(value):
+    """value as a Scalar when it is a Scalar, an int or a Fraction, else None.
+
+    An int is taken by exact_int's rule, so a bool is not one.
+    """
     if isinstance(value, Scalar):
         return value
-    if isinstance(value, (int, Fraction)):
+    if type(value) is int or isinstance(value, Fraction):
         return Scalar.rational(value)
     return None
 
 
 def as_scalar(value) -> Scalar:
+    """value as a Scalar; anything else, a bool or a float included, is a ValueError."""
     s = _try_scalar(value)
     if s is None:
-        raise TypeError("cannot interpret %r as a scalar" % (value,))
+        raise ValueError("cannot interpret %r as a scalar" % (value,))
     return s
 
 
@@ -511,7 +516,7 @@ class ZPoly:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
+        if type(other) is int or isinstance(other, (Fraction, Scalar)):
             other = ZPoly.constant(other)
         if not isinstance(other, ZPoly):
             return NotImplemented

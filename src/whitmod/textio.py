@@ -20,6 +20,9 @@ action, so positive factors in the input are legal and evaluate through
 the type homomorphism.  A vterm holds at most MAX_WORD_LENGTH factors,
 powers counted out, an svar exponent is at most MAX_EXPONENT, and an
 integer has at most Python's bound on int digits (4300 by default).
+Integers are written in the ASCII digits 0-9 only (DIGITS), here and in
+parse_int and parse_rational: str.isdigit and int() would also take
+other scripts' digits, superscripts and underscores.
 Formatting is handled by the classes' __str__; this module owns parsing
 and raises ParseError with the offending offset and the expected-token
 set.
@@ -43,6 +46,17 @@ class ParseError(ValueError):
 
 
 _PUNCT = "+-*/^(),"
+DIGITS = frozenset("0123456789")
+_RATIONAL_CHARS = DIGITS | frozenset("+-/.")
+
+
+def _not_a(what, text):
+    """The ParseError for an argument that is not what.  It names the
+    argument's length and the digit bound, not its text, which may be
+    thousands of digits long."""
+    return ParseError("expected %s, got an argument of length %d; an integer has at most "
+                      "%d digits" % (what, len(text), sys.get_int_max_str_digits()),
+                      0, (what,))
 
 
 def _tokenize(text: str):
@@ -53,9 +67,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in DIGITS:
                 j += 1
             try:
                 tokens.append(("INT", int(text[i:j]), i))
@@ -279,18 +293,32 @@ def parse_scalar(text: str) -> Scalar:
     return _parse_sum(text, _Parser.parse_smon)
 
 
+def parse_int(text: str) -> int:
+    """A signed integer in ASCII digits, spaces around allowed."""
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if digits and DIGITS.issuperset(digits):
+        try:
+            return int(body)
+        except ValueError:  # over Python's bound on the digits of an int
+            pass
+    raise _not_a("an integer in ASCII digits", text)
+
+
 def parse_rational(text: str) -> Fraction:
-    """A signed rational written p/q or as a decimal, spaces around allowed.
+    """A signed rational written p/q or as a decimal in ASCII digits, spaces
+    around allowed.
 
     Exponent notation is refused: Fraction would expand 1e10000000 into
     all of its ten million digits.
     """
-    if "e" not in text.lower():
+    body = text.strip()
+    if _RATIONAL_CHARS.issuperset(body):
         try:
-            return Fraction(text.strip())
+            return Fraction(body)
         except (ValueError, ZeroDivisionError):
             pass
-    raise ParseError("expected a rational p/q or a decimal, got %r" % text, 0, ("rational",))
+    raise _not_a("a rational p/q or a decimal in ASCII digits", text)
 
 
 def parse_psi(text: str) -> PsiSpec:

@@ -308,6 +308,14 @@ MALFORMED = {
     "digits-json-string": ["nf", ONE_TERM.replace('"1"', '"%s"' % OVER_DIGITS)],
     "digits-psi": ["nf", "w", "--psi", OVER_DIGITS + ",1,1"],
     "digits-a": ["probe", "h2 w", "--a", "1/" + OVER_DIGITS, "--psi", "1,2,3"],
+    # integers are ASCII digits: no other script's digits, no underscores
+    "arabic-indic-digit-text": ["nf", "\u0663 * w"],
+    "underscore-cap": ["wvectors", "--cap", "0,1_0", "--entries", "0,1", "--kmax", "0",
+                       "--rmax", "0", "--psi", "1,2,3"],
+    "arabic-indic-digit-cap": ["wvectors", "--cap", "0,\u0662", "--entries", "0,1",
+                               "--kmax", "0", "--rmax", "0", "--psi", "1,2,3"],
+    "arabic-indic-digit-psi": ["nf", "w", "--psi", "\u0661,2,3"],
+    "underscore-psi": ["nf", "w", "--psi", "1_000,2,3"],
 }
 
 
@@ -321,6 +329,26 @@ def test_malformed_input_is_a_parse_error(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+def test_a_superscript_digit_is_no_digit(capsys):
+    # refused as a character, not as an integer over the digit bound
+    code, _, err = run(capsys, "nf", "\u00b2 * w")
+    assert code == 2
+    assert err == "parse error: unexpected character '\u00b2' at offset 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["nf", "w", "--psi", OVER_DIGITS + ",1,1"],
+    ["probe", "h2 w", "--a", "1/" + OVER_DIGITS, "--psi", "1,2,3"],
+    ["wvectors", "--cap", "0," + OVER_DIGITS, "--entries", "0,1", "--kmax", "0", "--rmax", "0"],
+    ["wvectors", "--cap", "0,1," + OVER_DIGITS, "--entries", "0,1", "--kmax", "0", "--rmax", "0"],
+], ids=["psi", "a", "cap", "cap-arity"])
+def test_a_long_argument_is_not_echoed(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert len(err) < 200, err
 
 
 def test_exponent_at_the_bound_is_accepted(capsys):

@@ -2,7 +2,8 @@
 
 A float, a bool or a digit string in any integer field is refused with
 ValueError, never rounded or converted; the rationals of a type, of the
-quotient and of a Scalar's coefficients accept only ints and Fractions.
+quotient, of a Scalar's coefficients and of the coefficients and scalar
+multiples of operators and vectors accept only ints and Fractions.
 Lists and tuples of ints build equal values.
 """
 
@@ -60,6 +61,10 @@ FIELDS = {
     "PsiSpec": lambda x: PsiSpec.of(1, x, 1),
     "Scalar-coefficient": lambda x: Scalar({(0, 0, 0): x}),
     "quotient-a": lambda x: quotient_project(basis_vector(r=1), x),
+    "d-coeff": lambda x: d(1, (0, 1), coeff=x),
+    "scalar-multiple": lambda x: x * basis_vector(k=1),
+    "basis_vector-coeff": lambda x: basis_vector(coeff=x),
+    "Scalar.generator": lambda x: Scalar.generator(x),
 }
 
 

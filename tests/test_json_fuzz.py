@@ -6,6 +6,9 @@ a bool, a string, null, a number or digit string over Python's bound of
 nested) and handed to nf, act, bracket, reduce, quotient-act and probe.
 Each run ends with a documented exit code, 0 to 3, at most one line on
 stderr and no traceback.  Drawn ints stay small, so no case runs long.
+Drawn vectors and operators, with rational and symbolic coefficients,
+read back equal from their text and from their JSON, and the command
+line prints the same for either form.
 Property-based testing after MacIver et al., "Hypothesis: A new
 approach to property-based testing", JOSS 4(43), 2019.
 """
@@ -14,11 +17,14 @@ import contextlib
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from whitmod.cli import main
+from whitmod.coeff import Scalar
+from whitmod.liecore import LieElt, d
 from whitmod.textio import parse_lie, parse_vector
+from whitmod.wmod import ModuleVector, basis_vector
 
 VECTOR = parse_vector("d1(0,-1) d2(1,-2) h2 z w + (s1 - 2*s3^2) * d2(0,-1) w - 1/2 * z w")
 OPERATOR = parse_lie("d1(0,1) - 2 * d2(1,-1) + 3/4 * h2")
@@ -94,3 +100,43 @@ def test_mutated_json_gets_a_documented_exit(data):
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+ENTRIES = [(0, 1), (0, 2), (1, -1), (1, 0), (1, 2)]
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# (0, 0, 0) exponents give rational coefficients, the others symbolic ones
+SCALARS = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 3), RATIONALS),
+                   min_size=1, max_size=3).map(Scalar)
+PARTITIONS = st.lists(st.sampled_from(ENTRIES), max_size=2)
+VECTORS = st.lists(st.tuples(PARTITIONS, PARTITIONS, st.integers(0, 2), st.integers(0, 2),
+                             SCALARS), min_size=1, max_size=3).map(
+    lambda terms: sum((basis_vector(*term) for term in terms), ModuleVector()))
+OPERATORS = st.lists(st.tuples(st.sampled_from([1, 2]),
+                               st.tuples(st.integers(-2, 2), st.integers(-2, 2)), SCALARS),
+                     min_size=1, max_size=3).map(
+    lambda terms: sum((d(*term) for term in terms), LieElt(2)))
+
+
+def _stdout(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 0, (argv, err.getvalue())
+    return out.getvalue()
+
+
+def _through_json(value):
+    return json.loads(json.dumps(value.to_json()))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(VECTORS, OPERATORS)
+def test_drawn_values_read_back_from_text_and_json(v, x):
+    assume(v and x)
+    assert parse_vector(str(v)) == v
+    assert ModuleVector.from_json(_through_json(v)) == v
+    assert _stdout(["nf", str(v)]) == _stdout(["nf", json.dumps(v.to_json())])
+    assert parse_lie(str(x)) == x
+    assert LieElt.from_json(_through_json(x)) == x
+    assert (_stdout(["bracket", str(x), "d2(0,-1)"])
+            == _stdout(["bracket", json.dumps(x.to_json()), "d2(0,-1)"]))
