@@ -556,8 +556,8 @@ def _step_choice(ctx):
     ident = _rule_at(ctx)
     if ident is None:
         raise NonDescent("no reduction rule applies at degree %s" % (ctx.deg,))
-    stated = RULES[ident].statement(ctx)
-    return ident, stated.i, stated.alpha, (ctx.deg.k if ident == "3.7" else 1)
+    statement = RULES[ident].statement(ctx)
+    return ident, statement.i, statement.alpha, (ctx.deg.k if ident == "3.7" else 1)
 
 
 def _run_reduction(v: ModuleVector, psi: PsiSpec, a=None, max_steps=10000):

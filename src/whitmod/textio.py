@@ -50,7 +50,7 @@ DIGITS = frozenset("0123456789")
 _RATIONAL_CHARS = DIGITS | frozenset("+-/.")
 
 
-def _not_a(what, text):
+def _expected(what, text):
     """The ParseError for an argument that is not what.  It names the
     argument's length and the digit bound, not its text, which may be
     thousands of digits long."""
@@ -302,15 +302,16 @@ def parse_int(text: str) -> int:
             return int(body)
         except ValueError:  # over Python's bound on the digits of an int
             pass
-    raise _not_a("an integer in ASCII digits", text)
+    raise _expected("an integer in ASCII digits", text)
 
 
 def parse_rational(text: str) -> Fraction:
     """A signed rational written p/q or as a decimal in ASCII digits, spaces
     around allowed.
 
-    Exponent notation is refused: Fraction would expand 1e10000000 into
-    all of its ten million digits.
+    Only digits, a sign, '/' and '.' are read, so exponent notation is
+    refused: Fraction would expand 1e10000000 into all of its ten million
+    digits.
     """
     body = text.strip()
     if _RATIONAL_CHARS.issuperset(body):
@@ -318,7 +319,7 @@ def parse_rational(text: str) -> Fraction:
             return Fraction(body)
         except (ValueError, ZeroDivisionError):
             pass
-    raise _not_a("a rational p/q or a decimal in ASCII digits", text)
+    raise _expected("a rational p/q or a decimal in ASCII digits", text)
 
 
 def parse_psi(text: str) -> PsiSpec:
