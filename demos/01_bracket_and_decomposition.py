@@ -48,7 +48,7 @@ for i in (1, 2):
     parts = bracket_decomposition(i, alpha)
     print("d%d%s = %s" % (i, alpha, " + ".join(
         "%s*[%s, %s]" % (c, x, y) for c, x, y in parts)))
-    assert expand_decomposition(parts, 2) == d(i, alpha)
+    assert expand_decomposition(parts) == d(i, alpha)
 
-raw = expand_decomposition(bracket_decomposition(2, alpha, corrected=False), 2)
+raw = expand_decomposition(bracket_decomposition(2, alpha, corrected=False))
 print("uncorrected two-term form for d2%s sums to %s  (twice the target)" % (alpha, raw))

@@ -33,8 +33,7 @@ from .liecore import (
     weight_cmp,
     weight_add,
     weight_neg,
-    zero_weight,
-    unit_weight,
+    ZERO_WEIGHT,
     is_positive,
     triangular_part,
     LieElt,

@@ -22,12 +22,13 @@ rationals of ``--psi`` and ``--a`` are written ``p/q`` or as decimals;
 exponent notation is refused.  An integer in the input, in these, in
 ``--cap``/``--entries`` or in the text grammar, is written in the ASCII
 digits 0-9 only and may have at most Python's bound on int digits (4300
-by default); outputs are printed exactly, at any size.
+by default); outputs are printed exactly, at any size.  Operators are of
+the rank-two algebra: a JSON operator whose weight is not two integers
+is malformed input.
 
 Exit codes: 0 success, 1 verification or probe failure, 2 malformed
-input (an operator of the wrong rank included), 3 singular (zero or
-unspecialized where values are needed) type, 4 internal invariant
-violation.
+input, 3 singular (zero or unspecialized where values are needed) type,
+4 internal invariant violation.
 """
 
 import argparse
@@ -83,12 +84,8 @@ def _decoded(text, what, from_json, parse):
         raise ParseError("bad %s JSON: %s" % (what, e), 0, ())
 
 
-def _lie_arg(text, rank=None):
-    """An operator argument; with rank given, an operator of another rank is refused."""
-    x = _decoded(text, "operator", LieElt.from_json, parse_lie)
-    if rank is not None and x.n != rank:
-        raise ParseError("expected an operator of rank %d, got rank %d" % (rank, x.n), 0, ())
-    return x
+def _lie_arg(text):
+    return _decoded(text, "operator", LieElt.from_json, parse_lie)
 
 
 def _vector_arg(text, psi):
@@ -153,15 +150,13 @@ def _transcript_lines(transcript):
 
 
 def _cmd_bracket(args):
-    x = _lie_arg(args.x)
-    y = _lie_arg(args.y, rank=x.n)
-    _emit(args, bracket(x, y))
+    _emit(args, bracket(_lie_arg(args.x), _lie_arg(args.y)))
     return EXIT_OK
 
 
 def _cmd_act(args):
     psi = _psi_of(args)
-    x = _lie_arg(args.x, rank=2)
+    x = _lie_arg(args.x)
     v = _vector_arg(args.vector, psi)
     _emit(args, act(x, v, psi))
     return EXIT_OK
@@ -218,7 +213,7 @@ def _cmd_ideal(args):
 
 def _cmd_quotient_act(args):
     psi = _psi_of(args)
-    x = _lie_arg(args.x, rank=2)
+    x = _lie_arg(args.x)
     v = _vector_arg(args.vector, psi)
     _emit(args, quotient_act(x, v, parse_rational(args.a), psi))
     return EXIT_OK

@@ -1,13 +1,16 @@
-"""The derivation algebra of the Laurent torus in n variables.
+"""The derivation algebra of the Laurent torus in two variables.
 
-Basis elements d_i(alpha) for 1 <= i <= n and alpha in Z^n, with
+Basis elements d_i(alpha) for i in {1, 2} and alpha in Z^2, with
 
     [d_i(alpha), d_j(beta)] = beta_i d_j(alpha+beta) - alpha_j d_i(alpha+beta).
 
-Weights are plain int tuples ordered lexicographically, which is exactly
-Python's tuple comparison.  A weight is positive when it is lex-greater
-than the origin, so (1, -7) counts as positive; the triangular pieces of
-the algebra are cut out by that sign.
+Weights are plain pairs of ints ordered lexicographically, which is
+exactly Python's tuple comparison.  A weight is positive when it is
+lex-greater than the origin, so (1, -7) counts as positive; the
+triangular pieces of the algebra are cut out by that sign.
+generator_key is the one check of a generator (i, alpha), for LieElt
+and bracket_decomposition alike: an index 1 or 2 and a weight of
+exactly two ints.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from __future__ import annotations
 import operator
 
 from .coeff import (
-    ONE, LinearCombination, PsiSpec, SYMBOLIC, Scalar, ZERO, add_term, as_scalar,
-    attach_coefficient, exact_int, join_signed,
+    ONE, LinearCombination, PsiSpec, SYMBOLIC, Scalar, ZERO, add_term, attach_coefficient,
+    exact_int, join_signed,
 )
 
 
@@ -30,26 +33,19 @@ class OutOfRange(ValueError):
 
 Weight = tuple
 
+ZERO_WEIGHT = (0, 0)
+EPS2 = (0, 1)
+TWO_EPS2 = (0, 2)
+
 
 def weight_cmp(a: Weight, b: Weight) -> int:
     """-1, 0 or 1 as a is lex-smaller, equal or lex-greater than b."""
-    if len(a) != len(b):
-        raise ValueError("weights of unequal rank: %r vs %r" % (a, b))
     if a < b:
         return -1
     if a > b:
         return 1
     return 0
 
-
-def zero_weight(n: int) -> Weight:
-    return (0,) * n
-
-def unit_weight(i: int, n: int) -> Weight:
-    """The standard basis weight e_i (1-based index)."""
-    if not 1 <= i <= n:
-        raise OutOfRange("index %d outside 1..%d" % (i, n))
-    return tuple(1 if j == i - 1 else 0 for j in range(n))
 
 def weight_add(a: Weight, b: Weight) -> Weight:
     return tuple(map(operator.add, a, b))
@@ -58,49 +54,40 @@ def weight_neg(a: Weight) -> Weight:
     return tuple(-x for x in a)
 
 def is_positive(a: Weight) -> bool:
-    return a > zero_weight(len(a))
+    return a > ZERO_WEIGHT
 
 
 def triangular_part(a: Weight) -> str:
     """Which triangular piece the weight selects: 'positive', 'zero' or 'negative'."""
-    zero = zero_weight(len(a))
-    if a > zero:
+    if a > ZERO_WEIGHT:
         return "positive"
-    if a < zero:
+    if a < ZERO_WEIGHT:
         return "negative"
     return "zero"
 
 
-class LieElt(LinearCombination):
-    """Finite Scalar-linear combination of the basis derivations.
+def generator_key(i, alpha):
+    """(i, alpha) as a generator: i an int in {1, 2}, alpha a weight of exactly two ints.
 
-    Terms are keyed by (i, alpha).  The rank n is fixed per element;
-    mixing ranks in arithmetic is an error, and zero elements of
-    different ranks are unequal.
+    Anything else raises OutOfRange, or ValueError for a non-int, which
+    exact_int never converts.
     """
+    alpha = tuple(alpha)
+    if len(alpha) != 2:
+        raise OutOfRange("a weight needs exactly two ints, got %d" % len(alpha))
+    alpha = (exact_int(alpha[0], "a weight component"), exact_int(alpha[1], "a weight component"))
+    if exact_int(i, "a generator index") not in (1, 2):
+        raise OutOfRange("generator index must be 1 or 2, got %d" % i)
+    return (i, alpha)
 
-    __slots__ = ("n",)
 
-    def __init__(self, n: int, terms=None):
-        if exact_int(n, "the rank") < 2:
-            raise OutOfRange("rank must be at least 2, got %d" % n)
-        self.n = n
-        super().__init__(terms)
+class LieElt(LinearCombination):
+    """Finite Scalar-linear combination of the basis derivations, keyed by (i, alpha)."""
+
+    __slots__ = ()
 
     def _key(self, key):
-        i, alpha = key
-        i = exact_int(i, "a generator index")
-        alpha = tuple(exact_int(x, "a weight component") for x in alpha)
-        if len(alpha) != self.n:
-            raise OutOfRange("weight %r has rank != %d" % (alpha, self.n))
-        if not 1 <= i <= self.n:
-            raise OutOfRange("index %d outside 1..%d" % (i, self.n))
-        return (i, alpha)
-
-    def _like(self, terms: dict):
-        new = super()._like(terms)
-        new.n = self.n
-        return new
+        return generator_key(*key)
 
     def terms(self):
         """(i, alpha, coeff) triples sorted by weight then index."""
@@ -108,19 +95,6 @@ class LieElt(LinearCombination):
             (i, alpha, self._terms[(i, alpha)])
             for (i, alpha) in sorted(self._terms, key=lambda key: (key[1], key[0]))
         ]
-
-    def __add__(self, other):
-        if isinstance(other, LieElt) and other.n != self.n:
-            raise ValueError("cannot add elements of different rank")
-        return super().__add__(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, LieElt):
-            return NotImplemented
-        return self.n == other.n and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self._terms.items())))
 
     def bracket(self, other: "LieElt") -> "LieElt":
         return bracket(self, other)
@@ -139,24 +113,19 @@ class LieElt(LinearCombination):
 
     @staticmethod
     def from_json(data: dict) -> "LieElt":
-        """The element data describes; one without terms has rank 2."""
-        pairs = [((t["i"], t["alpha"]), Scalar.from_json(t["coeff"])) for t in data["terms"]]
-        ranks = {len(alpha) for (_, alpha), _ in pairs} or {2}
-        if len(ranks) > 1:
-            raise ValueError("mixed weight ranks in element")
-        return LieElt(ranks.pop(), pairs)
+        return LieElt([((t["i"], t["alpha"]), Scalar.from_json(t["coeff"]))
+                       for t in data["terms"]])
 
 
 def format_generator(i: int, alpha: Weight) -> str:
-    if all(x == 0 for x in alpha):
-        return "z" if i == 1 else ("h2" if i == 2 else "h%d" % i)
+    if alpha == ZERO_WEIGHT:
+        return "z" if i == 1 else "h2"
     return "d%d(%s)" % (i, ",".join(str(x) for x in alpha))
 
 
 def d(i: int, alpha, coeff=1) -> LieElt:
     """The basis derivation d_i(alpha), optionally scaled."""
-    alpha = tuple(alpha)
-    return LieElt(len(alpha), {(i, alpha): as_scalar(coeff)})
+    return LieElt([((i, alpha), coeff)])
 
 
 def generator_bracket(f, g) -> dict:
@@ -182,8 +151,6 @@ def generator_bracket(f, g) -> dict:
 
 def bracket(x: LieElt, y: LieElt) -> LieElt:
     """Bilinear extension of generator_bracket."""
-    if x.n != y.n:
-        raise ValueError("cannot bracket elements of different rank")
     out = {}
     for i, a, ca in x.terms():
         for j, b, cb in y.terms():
@@ -198,11 +165,8 @@ def psi_eval(x: LieElt, psi: PsiSpec = SYMBOLIC) -> Scalar:
 
     Determined by its values on weight (0,1) and (0,2) generators: d_1(0,1)
     and d_2(0,1) give the first two generator values, d_2(0,2) the third,
-    d_1(0,2) gives 0, and every weight lex-above (0,2) gives 0.  Only rank
-    two is supported because the scalar ring has exactly three generators.
+    d_1(0,2) gives 0, and every weight lex-above (0,2) gives 0.
     """
-    if x.n != 2:
-        raise ValueError("the type homomorphism is only defined for rank 2")
     total = ZERO
     for i, alpha, coeff in x.terms():
         if not is_positive(alpha):
@@ -212,9 +176,9 @@ def psi_eval(x: LieElt, psi: PsiSpec = SYMBOLIC) -> Scalar:
 
 
 def _generator_psi(i: int, alpha: Weight, psi: PsiSpec) -> Scalar:
-    if alpha == (0, 1):
+    if alpha == EPS2:
         return psi.generator_value(1 if i == 1 else 2)
-    if alpha == (0, 2) and i == 2:
+    if alpha == TWO_EPS2 and i == 2:
         return psi.generator_value(3)
     return ZERO
 
@@ -223,61 +187,47 @@ def bracket_decomposition(i: int, alpha, corrected: bool = True):
     """Express a positive-part generator through brackets of lower terms.
 
     Returns a list of (scalar, x, y) with d_i(alpha) equal to the sum of
-    scalar * [x, y], valid whenever alpha is positive and strictly above
-    the base weights (0,...,0,1) and, for i == n, (0,...,0,2).  Every x, y
-    is a single positive generator of strictly smaller weight.
+    scalar * [x, y], valid whenever alpha is positive and d_i(alpha) is
+    none of the base generators d_1(0,1), d_2(0,1) and d_2(0,2).  Every
+    x, y is a single positive generator of strictly smaller weight.
 
-    With corrected=False the i == n, alpha_n > 2 case uses the same
-    two-term combination as i != n; that combination sums to twice
-    d_n(alpha), and is kept only so the discrepancy stays observable.
+    With corrected=False the i == 2, alpha_2 > 2 case uses the same
+    two-term combination as i == 1; that combination sums to twice
+    d_2(alpha), and is kept only so the discrepancy stays observable.
     """
-    alpha = tuple(exact_int(x, "a weight component") for x in alpha)
-    n = len(alpha)
-    if not 1 <= exact_int(i, "a generator index") <= n:
-        raise OutOfRange("index %d outside 1..%d" % (i, n))
+    i, alpha = generator_key(i, alpha)
     if not is_positive(alpha):
         raise OutOfRange("weight %r is not positive" % (alpha,))
-    en = unit_weight(n, n)
-    base = {(j, en) for j in range(1, n + 1)}
-    if (i, alpha) in base or (i == n and alpha == weight_add(en, en)):
+    if (i, alpha) in ((1, EPS2), (2, EPS2), (2, TWO_EPS2)):
         raise OutOfRange("d_%d(%r) is a base generator, nothing to decompose" % (i, alpha))
 
-    a_n = alpha[n - 1]
-    prev = tuple(alpha[:-1]) + (a_n - 1,)
-    if a_n > 2:
-        if i == n and corrected:
-            scale = Scalar.rational(1, a_n - 2)
-            return [(scale, d(n, en), d(n, prev))]
+    a1, a2 = alpha
+    prev = (a1, a2 - 1)
+    if a2 > 2:
+        if i == 2 and corrected:
+            scale = Scalar.rational(1, a2 - 2)
+            return [(scale, d(2, EPS2), d(2, prev))]
         out = []
         if alpha[i - 1]:
-            out.append((Scalar.rational(alpha[i - 1], a_n - 2), d(n, en), d(n, prev)))
-        out.append((Scalar.rational(-1), d(i, en), d(n, prev)))
+            out.append((Scalar.rational(alpha[i - 1], a2 - 2), d(2, EPS2), d(2, prev)))
+        out.append((Scalar.rational(-1), d(i, EPS2), d(2, prev)))
         return out
 
-    if alpha == weight_add(en, en):
-        # d_i(2 e_n) for i != n is a single bracket of base generators
-        return [(ONE, d(n, en), d(i, en))]
+    if alpha == TWO_EPS2:
+        # d_1(0,2) is a single bracket of base generators
+        return [(ONE, d(2, EPS2), d(1, EPS2))]
 
-    # alpha_n <= 2 otherwise: peel off one unit of the last coordinate using
-    # the first strictly-positive earlier coordinate as the pivot.  A positive
-    # weight that is not a multiple of e_n always has one.
-    pivot = None
-    for j in range(n - 1):
-        if alpha[j] > 0:
-            pivot = j + 1
-            break
-    if pivot is None:
-        raise OutOfRange("no positive pivot coordinate in %r" % (alpha,))
-    ap = alpha[pivot - 1]
-    out = [(Scalar.rational(1, ap), d(pivot, en), d(i, prev))]
-    if i == n:
-        out.append((Scalar.rational(1, ap * ap), d(pivot, en), d(pivot, prev)))
+    # Otherwise a2 <= 2 and alpha is positive, so a1 > 0: peel off one unit
+    # of the second coordinate with d_1(0,1) as the pivot.
+    out = [(Scalar.rational(1, a1), d(1, EPS2), d(i, prev))]
+    if i == 2:
+        out.append((Scalar.rational(1, a1 * a1), d(1, EPS2), d(1, prev)))
     return out
 
 
-def expand_decomposition(parts, n: int) -> LieElt:
+def expand_decomposition(parts) -> LieElt:
     """Sum scalar * [x, y] back into a single element."""
-    total = LieElt(n)
+    total = LieElt()
     for scale, x, y in parts:
         total = total + scale * bracket(x, y)
     return total

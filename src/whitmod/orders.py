@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .coeff import exact_int
-from .liecore import Weight, weight_add, zero_weight
+from .liecore import ZERO_WEIGHT, Weight, weight_add
 
 
 class Partition(tuple):
@@ -59,7 +59,7 @@ class Partition(tuple):
         return tuple(self)
 
     def weight_sum(self) -> Weight:
-        total = zero_weight(2)
+        total = ZERO_WEIGHT
         for entry in self:
             total = weight_add(total, entry)
         return total

@@ -53,6 +53,8 @@ from .coeff import (
     poly_gcd,
 )
 from .liecore import (
+    EPS2,
+    TWO_EPS2,
     Weight,
     weight_add,
     d,
@@ -90,9 +92,6 @@ class ProbeFailed(RuntimeError):
 class HypothesisViolated(ValueError):
     """An instance does not satisfy the hypotheses of its rule."""
 
-
-EPS2 = (0, 1)
-TWO_EPS2 = (0, 2)
 
 # The three generators with nonzero type value, in scan order.
 OMEGA = ((1, EPS2), (2, EPS2), (2, TWO_EPS2))

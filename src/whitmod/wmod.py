@@ -44,6 +44,7 @@ from .coeff import (
     attach_coefficient, exact_int, join_signed,
 )
 from .liecore import (
+    ZERO_WEIGHT,
     LieElt,
     _generator_psi,
     d,
@@ -202,14 +203,12 @@ def w_vector() -> ModuleVector:
 # factor classes in canonical position order
 _NEG1, _NEG2, _H, _Z, _POS = range(5)
 
-_ZERO2 = (0, 0)
-
 
 def _factor_class(factor) -> int:
     i, alpha = factor
-    if alpha > _ZERO2:
+    if alpha > ZERO_WEIGHT:
         return _POS
-    if alpha == _ZERO2:
+    if alpha == ZERO_WEIGHT:
         return _Z if i == 1 else _H
     return _NEG1 if i == 1 else _NEG2
 
@@ -286,15 +285,13 @@ def _times(x, word, coeff: Scalar, psi: PsiSpec, out: dict):
 def _monomial_word(mono: BasisMonomial):
     word = [(1, weight_neg(e)) for e in mono.lam]
     word += [(2, weight_neg(e)) for e in mono.mu]
-    word += [(2, _ZERO2)] * mono.k
-    word += [(1, _ZERO2)] * mono.r
+    word += [(2, ZERO_WEIGHT)] * mono.k
+    word += [(1, ZERO_WEIGHT)] * mono.r
     return tuple(word)
 
 
 def act(x: LieElt, v: ModuleVector, psi: PsiSpec = SYMBOLIC) -> ModuleVector:
     """Action of a Lie element on a module vector, fully straightened."""
-    if x.n != 2:
-        raise ValueError("the module is defined over the rank-two algebra")
     words = {}
     for (i, alpha), cx in x._terms.items():
         if cx == ONE:

@@ -79,10 +79,10 @@ def test_criterion_2_decomposition_round_trip():
             for i in (1, 2):
                 count += 1
                 parts = bracket_decomposition(i, alpha)
-                if expand_decomposition(parts, 2) != d(i, alpha):
+                if expand_decomposition(parts) != d(i, alpha):
                     ok = False
                 raw = expand_decomposition(
-                    bracket_decomposition(i, alpha, corrected=False), 2)
+                    bracket_decomposition(i, alpha, corrected=False))
                 expected = 2 * d(i, alpha) if (i == 2 and a2 > 2) else d(i, alpha)
                 if raw != expected:
                     ok = False
@@ -309,7 +309,7 @@ def test_criterion_10_io_round_trips_and_exit_codes(capsys, monkeypatch):
 
     trips = 0
     while trips < 30:
-        x = LieElt(2)
+        x = LieElt()
         for i, alpha in rng.sample(lie_pool, rng.randint(1, 4)):
             x = x + d(i, alpha, rand_scalar())
         if not x:

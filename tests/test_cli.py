@@ -269,8 +269,9 @@ HUGE_EXPONENT = _exponents([10 ** 9, 0, 0])
 # more digits than Python's default bound of 4300 on int <-> str conversion
 OVER_DIGITS = "1" * 4400
 ONE_TERM = _vector_json(coeff=_exponents([0, 0, 0]))  # num "1", den "1"
-RANK3 = json.dumps(d(1, (0, 1, 0)).to_json())
-RANK3_OTHER = json.dumps(d(3, (1, 0, -1)).to_json())
+# operators of weights that are not pairs, which d cannot build
+RANK3 = _operator_json(alpha=[0, 1, 0])
+RANK3_OTHER = _operator_json(i=3, alpha=[1, 0, -1])
 
 MALFORMED = {
     "negative-k": ["nf", _vector_json(k=-1)],
@@ -291,6 +292,7 @@ MALFORMED = {
     "rank-act": ["act", RANK3, "w"],
     "rank-quotient-act": ["quotient-act", RANK3, "w", "--a", "2", "--psi", "1,2,3"],
     "rank-bracket": ["bracket", "d1(0,1)", RANK3],
+    "rank-bracket-both": ["bracket", RANK3, RANK3_OTHER, "--format", "json"],
     "float-num": ["nf", _vector_json(coeff={"monomials": [{"e": [0, 0, 0], "num": 1.7,
                                                            "den": "1"}]})],
     "bool-den": ["nf", _vector_json(coeff={"monomials": [{"e": [0, 0, 0], "num": "1",
@@ -355,14 +357,6 @@ def test_exponent_at_the_bound_is_accepted(capsys):
     code, out, _ = run(capsys, "nf", "s3^%d * w" % MAX_EXPONENT)
     assert code == 0
     assert out.strip() == "s3^%d * w" % MAX_EXPONENT
-
-
-def test_bracket_of_two_rank_three_operators(capsys):
-    code, out, _ = run(capsys, "bracket", RANK3, RANK3_OTHER, "--format", "json")
-    assert code == 0
-    x, y = LieElt.from_json(json.loads(RANK3)), LieElt.from_json(json.loads(RANK3_OTHER))
-    assert LieElt.from_json(json.loads(out)) == bracket(x, y)
-    assert bracket(x, y)
 
 
 def _unbounded(render):

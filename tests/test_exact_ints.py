@@ -36,9 +36,8 @@ FIELDS = {
     "Partition-second": lambda x: Partition([(1, x)]),
     "d-i": lambda x: d(x, (0, 1)),
     "d-alpha": lambda x: d(1, (0, x)),
-    "LieElt-n": lambda x: LieElt(x),
-    "LieElt-i": lambda x: LieElt(2, {(x, (0, 1)): 1}),
-    "LieElt-alpha": lambda x: LieElt(2, {(1, (x, 1)): 1}),
+    "LieElt-i": lambda x: LieElt({(x, (0, 1)): 1}),
+    "LieElt-alpha": lambda x: LieElt({(1, (x, 1)): 1}),
     "bracket_decomposition-i": lambda x: bracket_decomposition(x, (0, 3)),
     "bracket_decomposition-alpha": lambda x: bracket_decomposition(1, (x, 3)),
     "Scalar-exponent": lambda x: Scalar({(0, x, 0): 1}),
@@ -97,7 +96,7 @@ def test_counts_refuse_negative_ints(field):
 SAME_VALUES = {
     "Partition": (lambda: Partition([[0, 1], [1, -1]]), lambda: Partition(((1, -1), (0, 1)))),
     "d": (lambda: d(1, [0, 1]), lambda: d(1, (0, 1))),
-    "LieElt": (lambda: LieElt(2, [((1, [0, 1]), 2)]), lambda: LieElt(2, {(1, (0, 1)): 2})),
+    "LieElt": (lambda: LieElt([((1, [0, 1]), 2)]), lambda: LieElt({(1, (0, 1)): 2})),
     "Scalar": (lambda: Scalar([([0, 1, 0], 3)]), lambda: Scalar({(0, 1, 0): 3})),
     "bracket_decomposition": (lambda: bracket_decomposition(1, [0, 3]),
                               lambda: bracket_decomposition(1, (0, 3))),

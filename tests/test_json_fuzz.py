@@ -114,7 +114,7 @@ VECTORS = st.lists(st.tuples(PARTITIONS, PARTITIONS, st.integers(0, 2), st.integ
 OPERATORS = st.lists(st.tuples(st.sampled_from([1, 2]),
                                st.tuples(st.integers(-2, 2), st.integers(-2, 2)), SCALARS),
                      min_size=1, max_size=3).map(
-    lambda terms: sum((d(*term) for term in terms), LieElt(2)))
+    lambda terms: sum((d(*term) for term in terms), LieElt()))
 
 
 def _stdout(argv):

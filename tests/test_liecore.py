@@ -15,6 +15,7 @@ from whitmod.liecore import (
     psi_eval,
     bracket_decomposition,
     expand_decomposition,
+    LieElt,
 )
 
 
@@ -99,14 +100,14 @@ def test_psi_eval_rejects_non_positive():
 def test_decomposition_small_weight_pivot():
     # weights with second component at most 2 go through the pivot form
     parts = bracket_decomposition(1, (1, 1))
-    assert expand_decomposition(parts, 2) == d(1, (1, 1))
+    assert expand_decomposition(parts) == d(1, (1, 1))
     parts = bracket_decomposition(2, (2, 2))
-    assert expand_decomposition(parts, 2) == d(2, (2, 2))
+    assert expand_decomposition(parts) == d(2, (2, 2))
 
 
 def test_decomposition_two_eps_case():
     parts = bracket_decomposition(1, (0, 2))
-    assert expand_decomposition(parts, 2) == d(1, (0, 2))
+    assert expand_decomposition(parts) == d(1, (0, 2))
 
 
 def test_decomposition_rejects_bad_weights():
@@ -118,6 +119,23 @@ def test_decomposition_rejects_bad_weights():
         bracket_decomposition(2, (0, 2))  # base generator, nothing below it
 
 
+GENERATOR_BUILDERS = {
+    "d": lambda i, alpha: d(i, alpha),
+    "LieElt": lambda i, alpha: LieElt({(i, alpha): 1}),
+    "LieElt.from_json": lambda i, alpha: LieElt.from_json(
+        {"terms": [{"i": i, "alpha": list(alpha), "coeff": Scalar.rational(1).to_json()}]}),
+    "bracket_decomposition": lambda i, alpha: bracket_decomposition(i, alpha),
+}
+
+
+@pytest.mark.parametrize("key", [(1, ()), (1, (1,)), (1, (1, 0, 3)), (0, (1, 3)), (3, (1, 3))],
+                         ids=["weight-0", "weight-1", "weight-3", "index-0", "index-3"])
+@pytest.mark.parametrize("builder", GENERATOR_BUILDERS)
+def test_a_generator_is_an_index_1_or_2_and_a_pair(builder, key):
+    with pytest.raises(OutOfRange):
+        GENERATOR_BUILDERS[builder](*key)
+
+
 def test_decomposition_every_box_weight():
     """Round trip over all lex-positive weights above (0,2) in the box."""
     for a1 in range(-5, 6):
@@ -127,7 +145,7 @@ def test_decomposition_every_box_weight():
                 continue
             for i in (1, 2):
                 parts = bracket_decomposition(i, alpha)
-                assert expand_decomposition(parts, 2) == d(i, alpha), (i, alpha)
+                assert expand_decomposition(parts) == d(i, alpha), (i, alpha)
 
 
 def test_decomposition_uncorrected_doubles_diagonal():
@@ -136,15 +154,13 @@ def test_decomposition_uncorrected_doubles_diagonal():
         if alpha[1] <= 2:
             continue
         parts = bracket_decomposition(2, alpha, corrected=False)
-        assert expand_decomposition(parts, 2) == 2 * d(2, alpha), alpha
+        assert expand_decomposition(parts) == 2 * d(2, alpha), alpha
         # the off-diagonal index is unaffected by the flag
         parts = bracket_decomposition(1, alpha, corrected=False)
-        assert expand_decomposition(parts, 2) == d(1, alpha), alpha
+        assert expand_decomposition(parts) == d(1, alpha), alpha
 
 
 def test_lie_json_round_trip():
-    from whitmod.liecore import LieElt
-
     x = 2 * d(1, (0, 1)) - d(2, (3, -4)) * Scalar.generator(2)
     assert LieElt.from_json(x.to_json()) == x
 

@@ -88,7 +88,7 @@ def test_lie_round_trips():
     rng = random.Random(0x1E7)
     pool = [(1, (0, 1)), (2, (0, 2)), (1, (-1, 3)), (2, (4, -2)), (1, (0, 0)), (2, (0, 0))]
     for _ in range(40):
-        total = LieElt(2)
+        total = LieElt()
         for i, alpha in rng.sample(pool, rng.randint(1, 4)):
             total = total + d(i, alpha, rand_scalar(rng))
         if not total:
