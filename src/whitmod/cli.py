@@ -20,11 +20,12 @@ or three comma-separated rationals; when absent, the ``WHIT_PSI``
 environment variable is consulted before defaulting to symbolic.  The
 rationals of ``--psi`` and ``--a`` are written ``p/q`` or as decimals;
 exponent notation is refused.  An integer in the input, in these, in
-``--cap``/``--entries`` or in the text grammar, is written in the ASCII
-digits 0-9 only and may have at most Python's bound on int digits (4300
-by default); outputs are printed exactly, at any size.  Operators are of
-the rank-two algebra: a JSON operator whose weight is not two integers
-is malformed input.
+``--cap``/``--entries``, in the integer flags (``--kmax``, ``--rmax``,
+``--lmax``, ``--max-steps``, ``--random``, ``--seed``) or in the text
+grammar, is written in the ASCII digits 0-9 only and may have at most
+Python's bound on int digits (4300 by default); outputs are printed
+exactly, at any size.  Operators are of the rank-two algebra: a JSON
+operator whose weight is not two integers is malformed input.
 
 Exit codes: 0 success, 1 verification or probe failure, 2 malformed
 input, 3 singular (zero or unspecialized where values are needed) type,
@@ -92,6 +93,17 @@ def _vector_arg(text, psi):
     return _decoded(text, "vector", ModuleVector.from_json, lambda t: parse_vector(t, psi))
 
 
+def _int_flag(text, flag, minimum=None):
+    """The value of an integer flag, read by parse_int, at least minimum if given."""
+    try:
+        value = parse_int(text)
+    except ParseError as e:
+        raise ParseError("%s: %s" % (flag, e), 0, ()) from None
+    if minimum is not None and value < minimum:
+        raise ParseError("%s must be at least %d, got %d" % (flag, minimum, value), 0, ())
+    return value
+
+
 def _pair(text):
     parts = text.split(",")
     if len(parts) != 2:
@@ -113,9 +125,10 @@ def _entries(text):
 
 def _truncation(args):
     cap, entries = _pair(args.cap), _entries(args.entries)
+    kmax, rmax = _int_flag(args.kmax, "--kmax"), _int_flag(args.rmax, "--rmax")
+    lmax = None if args.lmax is None else _int_flag(args.lmax, "--lmax")
     try:
-        return Truncation(cap=cap, entries=entries,
-                          kmax=args.kmax, rmax=args.rmax, lmax=args.lmax)
+        return Truncation(cap=cap, entries=entries, kmax=kmax, rmax=rmax, lmax=lmax)
     except ValueError as e:
         raise ParseError(str(e), 0, ())
 
@@ -186,11 +199,10 @@ def _cmd_wvectors(args):
 
 
 def _cmd_reduce(args):
-    if args.max_steps < 1:
-        raise ParseError("--max-steps must be at least 1, got %d" % args.max_steps, 0, ())
+    max_steps = _int_flag(args.max_steps, "--max-steps", 1)
     psi = _psi_of(args)
     v = _vector_arg(args.vector, psi)
-    poly, transcript = reduce_to_whittaker(v, psi, max_steps=args.max_steps)
+    poly, transcript = reduce_to_whittaker(v, psi, max_steps=max_steps)
     _unbounded_output()
     if args.format == "json":
         print(json.dumps({"poly": poly.to_json(),
@@ -243,14 +255,14 @@ def _verify_target(text):
 
 
 def _cmd_verify(args):
-    if args.random < 0:
-        raise ParseError("--random must be at least 0, got %d" % args.random, 0, ())
+    trials = _int_flag(args.random, "--random", 0)
+    seed = _int_flag(args.seed, "--seed")
     psi = _psi_of(args)
     idents = _verify_target(args.target)
-    rng = random.Random(args.seed)
+    rng = random.Random(seed)
     reports = []
     for ident in idents:
-        for trial in range(args.random):
+        for trial in range(trials):
             inst = random_instance(ident, rng)
             reports.append((trial, verify_lemma(inst, psi, stated=args.stated)))
     failures = sum(1 for _, r in reports if not r.passed)
@@ -284,9 +296,9 @@ def _add_truncation_flags(sp):
     sp.add_argument("--cap", required=True, help="weight-sum cap a,b")
     sp.add_argument("--entries", required=True,
                     help="pool of partition entries, e.g. '0,1;0,2'")
-    sp.add_argument("--kmax", type=int, required=True, help="largest h2 exponent")
-    sp.add_argument("--rmax", type=int, required=True, help="largest z exponent")
-    sp.add_argument("--lmax", type=int, default=None,
+    sp.add_argument("--kmax", required=True, help="largest h2 exponent")
+    sp.add_argument("--rmax", required=True, help="largest z exponent")
+    sp.add_argument("--lmax", default=None,
                     help="bound on the total number of partition entries "
                          "(required when the cap's first component is positive)")
 
@@ -325,7 +337,7 @@ def build_parser():
 
     sp = sub.add_parser("reduce", help="reduce a vector to a z-polynomial times w")
     sp.add_argument("vector")
-    sp.add_argument("--max-steps", type=int, default=10000,
+    sp.add_argument("--max-steps", default="10000",
                     help="step cap, at least 1 (default 10000)")
     _add_common(sp)
     sp.set_defaults(func=_cmd_reduce)
@@ -351,9 +363,9 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="check congruence rules on random instances")
     sp.add_argument("target", help="'all', a rule id like 3.8.1, or lemma3.8.1")
-    sp.add_argument("--random", type=int, default=5, metavar="N",
+    sp.add_argument("--random", default="5", metavar="N",
                     help="instances per rule, at least 0 (default 5)")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", default="0")
     sp.add_argument("--stated", action="store_true",
                     help="check the printed coefficients verbatim instead of "
                          "the computation-backed ones")

@@ -9,6 +9,9 @@ is immutable, hashable and exact; nothing is ever rounded.
 exact_int is the one integer check: each constructor of the package
 calls it where its value is built, and the from_json readers hand their
 data to those constructors.  exact_rational is its rational sibling.
+DIGITS is the one digit set: an integer written out, in JSON here or in
+the text of textio, is in the ASCII digits 0-9 only, since int() and
+str.isdigit would also take other scripts' digits and underscores.
 
 LinearCombination, the sparse dict of nonzero terms with its sums,
 scalar multiples, equality and hashing, is the one base of Scalar,
@@ -25,6 +28,8 @@ from fractions import Fraction
 # Scalar.__pow__ multiplies once per unit of the exponent and specialize
 # raises each type value to it, so an unbounded exponent is unbounded work.
 MAX_EXPONENT = 1000
+
+DIGITS = frozenset("0123456789")
 
 
 class SingularPsi(ValueError):
@@ -247,10 +252,8 @@ class Scalar(LinearCombination):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative scalar powers are not defined")
         result = ONE
-        for _ in range(n):
+        for _ in range(exact_int(n, "a scalar exponent", 0)):
             result = result * self
         return result
 
@@ -320,8 +323,15 @@ class Scalar(LinearCombination):
 
 
 def _json_int(value) -> int:
-    """A JSON coefficient part: an int, or the string of one that to_json writes."""
-    return exact_int(int(value) if isinstance(value, str) else value, "a numerator or denominator")
+    """A JSON coefficient part: an int, or the string of one as to_json
+    writes it, an optional '-' and ASCII digits."""
+    if isinstance(value, str):
+        digits = value[1:] if value[:1] == "-" else value
+        if not digits or not DIGITS.issuperset(digits):
+            raise ValueError("a numerator or denominator string must be ASCII digits "
+                             "after an optional '-', got one of length %d" % len(value))
+        value = int(value)
+    return exact_int(value, "a numerator or denominator")
 
 
 def _raw(terms: dict) -> Scalar:
@@ -502,7 +512,7 @@ class ZPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
+        if not isinstance(other, ZPoly):
             s = as_scalar(other)
             return ZPoly([c * s for c in self._coeffs])
         out = [ZERO] * (len(self._coeffs) + len(other._coeffs))

@@ -20,9 +20,10 @@ action, so positive factors in the input are legal and evaluate through
 the type homomorphism.  A vterm holds at most MAX_WORD_LENGTH factors,
 powers counted out, an svar exponent is at most MAX_EXPONENT, and an
 integer has at most Python's bound on int digits (4300 by default).
-Integers are written in the ASCII digits 0-9 only (DIGITS), here and in
-parse_int and parse_rational: str.isdigit and int() would also take
-other scripts' digits, superscripts and underscores.
+Integers are written in the ASCII digits 0-9 only (coeff.DIGITS, the
+digit set of JSON integer strings too), here and in parse_int and
+parse_rational: str.isdigit and int() would also take other scripts'
+digits, superscripts and underscores.
 Formatting is handled by the classes' __str__; this module owns parsing
 and raises ParseError with the offending offset and the expected-token
 set.
@@ -33,7 +34,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .coeff import MAX_EXPONENT, ONE, PsiSpec, SYMBOLIC, Scalar
+from .coeff import DIGITS, MAX_EXPONENT, ONE, PsiSpec, SYMBOLIC, Scalar
 from .liecore import LieElt, d
 from .wmod import MAX_WORD_LENGTH, ModuleVector, act_word, w_vector
 
@@ -46,7 +47,6 @@ class ParseError(ValueError):
 
 
 _PUNCT = "+-*/^(),"
-DIGITS = frozenset("0123456789")
 _RATIONAL_CHARS = DIGITS | frozenset("+-/.")
 
 

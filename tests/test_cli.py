@@ -265,6 +265,10 @@ def _exponents(e):
     return {"monomials": [{"e": e, "num": "1", "den": "1"}]}
 
 
+def _fraction_json(num, den):
+    return _vector_json(coeff={"monomials": [{"e": [0, 0, 0], "num": num, "den": den}]})
+
+
 HUGE_EXPONENT = _exponents([10 ** 9, 0, 0])
 # more digits than Python's default bound of 4300 on int <-> str conversion
 OVER_DIGITS = "1" * 4400
@@ -272,6 +276,7 @@ ONE_TERM = _vector_json(coeff=_exponents([0, 0, 0]))  # num "1", den "1"
 # operators of weights that are not pairs, which d cannot build
 RANK3 = _operator_json(alpha=[0, 1, 0])
 RANK3_OTHER = _operator_json(i=3, alpha=[1, 0, -1])
+WVECTORS = ["wvectors", "--cap", "0,2", "--entries", "0,1", "--psi", "1,2,3"]
 
 MALFORMED = {
     "negative-k": ["nf", _vector_json(k=-1)],
@@ -318,6 +323,17 @@ MALFORMED = {
                                "--kmax", "0", "--rmax", "0", "--psi", "1,2,3"],
     "arabic-indic-digit-psi": ["nf", "w", "--psi", "\u0661,2,3"],
     "underscore-psi": ["nf", "w", "--psi", "1_000,2,3"],
+    "arabic-indic-digit-kmax": WVECTORS + ["--kmax", "\u0660", "--rmax", "0"],
+    "underscore-rmax": WVECTORS + ["--kmax", "0", "--rmax", "0_0"],
+    "arabic-indic-digit-lmax": WVECTORS + ["--kmax", "0", "--rmax", "0", "--lmax", "\u0662"],
+    "underscore-max-steps": ["reduce", "h2 w", "--max-steps", "\u0661_0"],
+    "arabic-indic-digit-random": ["verify", "3.7", "--random", "\u0661"],
+    "underscore-seed": ["verify", "3.7", "--random", "1", "--seed", "1_0"],
+    # a JSON integer string is written as to_json writes it: '-' and ASCII digits
+    "arabic-indic-digit-json": ["nf", _fraction_json("\u0663", "1")],
+    "underscore-json": ["nf", _fraction_json("3", "1_0")],
+    "spaces-json": ["nf", _fraction_json(" 3 ", "1")],
+    "plus-sign-json": ["nf", _fraction_json("3", "+1")],
 }
 
 

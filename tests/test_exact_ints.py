@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from whitmod.coeff import PsiSpec, Scalar, exact_int
+from whitmod.coeff import S1, PsiSpec, Scalar, ZPoly, exact_int
 from whitmod.liecore import LieElt, bracket_decomposition, d
 from whitmod.orders import Partition, Triple
 from whitmod.solver import Truncation, quotient_project
@@ -64,6 +64,8 @@ FIELDS = {
     "scalar-multiple": lambda x: x * basis_vector(k=1),
     "basis_vector-coeff": lambda x: basis_vector(coeff=x),
     "Scalar.generator": lambda x: Scalar.generator(x),
+    "ZPoly-multiple": lambda x: ZPoly.z() * x,
+    "Scalar-power": lambda x: S1 ** x,
 }
 
 
@@ -87,7 +89,7 @@ def test_exact_int_refuses_everything_else(value):
 
 @pytest.mark.parametrize("field", ["basis_vector-k", "basis_vector-r", "Truncation-kmax",
                                    "Truncation-rmax", "Truncation-lmax", "Triple.from_json-k",
-                                   "Truncation.from_json-lmax"])
+                                   "Truncation.from_json-lmax", "Scalar-power"])
 def test_counts_refuse_negative_ints(field):
     with pytest.raises(ValueError):
         FIELDS[field](-1)

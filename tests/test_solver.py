@@ -286,6 +286,40 @@ def test_whittaker_space_of_a_positive_first_slice(monkeypatch, spec):
         _slice_table.cache_clear()
 
 
+ZERO_FIRST_POOL = [(0, 1), (0, 2)]
+POSITIVE_FIRST_POOL = [(1, -1), (1, 0), (1, 1)]
+
+
+def _drawn_positive_first_slice(rng):
+    """A slice with cap[0] in {1, 2}, an lmax, and entries drawn from both pools.
+
+    A draw is drawn again unless some monomial of its basis holds a
+    positive-first entry, and when it has more than 80 monomials, which
+    keeps each classification under about half a second.
+    """
+    while True:
+        entries = (rng.sample(ZERO_FIRST_POOL, rng.randint(1, 2))
+                   + rng.sample(POSITIVE_FIRST_POOL, rng.randint(1, 3)))
+        trunc = Truncation((rng.randint(1, 2), rng.randint(-1, 2)), entries,
+                           kmax=rng.randint(0, 1), rmax=rng.randint(0, 2), lmax=rng.randint(2, 3))
+        basis = trunc.basis()
+        if len(basis) <= 80 and any(a > 0 for m in basis for a, _ in m.lam + m.mu):
+            return trunc
+
+
+def _drawn_type(rng):
+    return PsiSpec([Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 4))
+                    for _ in range(3)])
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_whittaker_space_of_drawn_positive_first_slices(seed):
+    rng = random.Random(seed)
+    trunc = _drawn_positive_first_slice(rng)
+    spec = _drawn_type(rng)
+    assert set(whittaker_space(trunc, spec)) == {basis_vector(r=r) for r in range(trunc.rmax + 1)}
+
+
 def test_whittaker_space_needs_specialized_type():
     with pytest.raises(SingularPsi):
         whittaker_space(SMALL, SYMBOLIC)
