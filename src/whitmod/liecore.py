@@ -37,6 +37,9 @@ ZERO_WEIGHT = (0, 0)
 EPS2 = (0, 1)
 TWO_EPS2 = (0, 2)
 
+# The three generators with nonzero type value, in scan order.
+OMEGA = ((1, EPS2), (2, EPS2), (2, TWO_EPS2))
+
 
 def weight_cmp(a: Weight, b: Weight) -> int:
     """-1, 0 or 1 as a is lex-smaller, equal or lex-greater than b."""
@@ -198,7 +201,7 @@ def bracket_decomposition(i: int, alpha, corrected: bool = True):
     i, alpha = generator_key(i, alpha)
     if not is_positive(alpha):
         raise OutOfRange("weight %r is not positive" % (alpha,))
-    if (i, alpha) in ((1, EPS2), (2, EPS2), (2, TWO_EPS2)):
+    if (i, alpha) in OMEGA:
         raise OutOfRange("d_%d(%r) is a base generator, nothing to decompose" % (i, alpha))
 
     a1, a2 = alpha

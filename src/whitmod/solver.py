@@ -54,6 +54,7 @@ from .coeff import (
 )
 from .liecore import (
     EPS2,
+    OMEGA,
     TWO_EPS2,
     Weight,
     weight_add,
@@ -91,10 +92,6 @@ class ProbeFailed(RuntimeError):
 
 class HypothesisViolated(ValueError):
     """An instance does not satisfy the hypotheses of its rule."""
-
-
-# The three generators with nonzero type value, in scan order.
-OMEGA = ((1, EPS2), (2, EPS2), (2, TWO_EPS2))
 
 
 # ---------------------------------------------------------------------------
