@@ -3,8 +3,9 @@
 A Scalar is an element of Q[s1, s2, s3]: a sparse polynomial with Fraction
 coefficients in the three generator values that determine a type
 homomorphism.  Plain rationals are the constant polynomials.  ZPoly is a
-univariate polynomial in z whose coefficients are Scalars.  Everything here
-is immutable, hashable and exact; nothing is ever rounded.
+univariate polynomial in z whose coefficients are Scalars, keyed by the
+exponent of z.  Everything here is immutable, hashable and exact; nothing
+is ever rounded.
 
 exact_int is the one integer check: each constructor of the package
 calls it where its value is built, and the from_json readers hand their
@@ -14,9 +15,11 @@ the text of textio, is in the ASCII digits 0-9 only, since int() and
 str.isdigit would also take other scripts' digits and underscores.
 
 LinearCombination, the sparse dict of nonzero terms with its sums,
-scalar multiples, equality and hashing, is the one base of Scalar,
-liecore.LieElt and wmod.ModuleVector; add_term and join_signed beside it
-are the term accumulator and the signed-sum renderer they all use.
+scalar multiples, equality and hashing, is the one base of the four value
+types Scalar, ZPoly, liecore.LieElt and wmod.ModuleVector, and its
+classmethod _raw is their one unchecked builder; add_term and join_signed
+beside it are the term accumulator and the signed-sum renderer they all
+use.
 """
 
 from __future__ import annotations
@@ -84,15 +87,15 @@ def join_signed(parts) -> str:
 class LinearCombination:
     """Finite linear combination: a dict from keys to nonzero coefficients.
 
-    The base of Scalar, LieElt and ModuleVector.  It owns the sparse dict
-    and everything that treats it as a vector: negation, sums, scalar
-    multiples, equality and hashing.  The constructor takes a dict or a
-    list of (key, coefficient) pairs, whose repeated keys add up; a
-    subclass names its keys and coefficients through _key and
+    The base of Scalar, ZPoly, LieElt and ModuleVector.  It owns the
+    sparse dict and everything that treats it as a vector: negation,
+    sums, scalar multiples, equality and hashing.  The constructor takes
+    a dict or a list of (key, coefficient) pairs, whose repeated keys add
+    up; a subclass names its keys and coefficients through _key and
     _coefficient, which validate each pair before any two are merged.
-    Results of arithmetic are built by _like from dicts that are already
-    clean.  The representation is canonical, so == and hash are
-    structural.
+    Results of arithmetic, and any caller's dict that is already clean,
+    are built by _raw, the one builder that skips those checks.  The
+    representation is canonical, so == and hash are structural.
     """
 
     __slots__ = ("_terms",)
@@ -114,9 +117,10 @@ class LinearCombination:
     def _coefficient(value):
         return as_scalar(value)
 
-    def _like(self, terms: dict):
-        """A value of self's kind holding terms, a clean dict, without revalidation."""
-        new = object.__new__(type(self))
+    @classmethod
+    def _raw(cls, terms: dict):
+        """A value of cls holding terms, a clean dict, without revalidation."""
+        new = object.__new__(cls)
         new._terms = terms
         return new
 
@@ -125,13 +129,13 @@ class LinearCombination:
         merged = dict(self._terms)
         for key, c in other._terms.items():
             add_term(merged, key, c)
-        return self._like(merged)
+        return self._raw(merged)
 
     def __bool__(self):
         return bool(self._terms)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self._terms.items()})
+        return self._raw({k: -c for k, c in self._terms.items()})
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
@@ -146,8 +150,8 @@ class LinearCombination:
     def __mul__(self, other):
         s = as_scalar(other)
         if not s:
-            return self._like({})
-        return self._like({k: c * s for k, c in self._terms.items()})
+            return self._raw({})
+        return self._raw({k: c * s for k, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -185,7 +189,7 @@ class Scalar(LinearCombination):
     @staticmethod
     def rational(p, q=1) -> "Scalar":
         c = Fraction(p, q)
-        return _raw({(0, 0, 0): c} if c else {})
+        return Scalar._raw({(0, 0, 0): c} if c else {})
 
     @staticmethod
     def generator(j: int) -> "Scalar":
@@ -239,15 +243,15 @@ class Scalar(LinearCombination):
         # constants are by far the most common case in specialized runs
         if len(a) == 1 and (0, 0, 0) in a:
             ca = a[(0, 0, 0)]
-            return _raw({e: ca * c for e, c in b.items()})
+            return Scalar._raw({e: ca * c for e, c in b.items()})
         if len(b) == 1 and (0, 0, 0) in b:
             cb = b[(0, 0, 0)]
-            return _raw({e: c * cb for e, c in a.items()})
+            return Scalar._raw({e: c * cb for e, c in a.items()})
         out = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 add_term(out, (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2]), ca * cb)
-        return _raw(out)
+        return Scalar._raw(out)
 
     __rmul__ = __mul__
 
@@ -332,13 +336,6 @@ def _json_int(value) -> int:
                              "after an optional '-', got one of length %d" % len(value))
         value = int(value)
     return exact_int(value, "a numerator or denominator")
-
-
-def _raw(terms: dict) -> Scalar:
-    """Build a Scalar from an already-clean dict without revalidation."""
-    s = object.__new__(Scalar)
-    s._terms = terms
-    return s
 
 
 def _try_scalar(value):
@@ -451,100 +448,83 @@ class PsiSpec:
 SYMBOLIC = PsiSpec()
 
 
-class ZPoly:
-    """Polynomial in z with Scalar coefficients, dense and trailing-zero free.
+class ZPoly(LinearCombination):
+    """Polynomial in z with Scalar coefficients, keyed by the exponent of z.
 
-    The zero polynomial has degree None; that keeps degree comparisons
-    honest instead of smuggling in a fake -1.
+    ZPoly(coeffs) takes the dense list c0, c1, ... and coeffs gives it
+    back without trailing zeros.  The zero polynomial has degree None;
+    that keeps degree comparisons honest instead of smuggling in a fake -1.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
-        cs = [as_scalar(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        super().__init__(enumerate(coeffs))
 
     @staticmethod
     def constant(c) -> "ZPoly":
-        return ZPoly([as_scalar(c)])
+        return ZPoly([c])
 
     @staticmethod
     def z() -> "ZPoly":
-        return ZPoly([ZERO, ONE])
+        return ZPoly._raw({1: ONE})
 
     @property
     def coeffs(self):
-        return self._coeffs
+        return tuple(self.coeff(r) for r in range(self.degree + 1)) if self._terms else ()
 
     @property
     def degree(self):
-        return len(self._coeffs) - 1 if self._coeffs else None
-
-    def __bool__(self):
-        return bool(self._coeffs)
+        return max(self._terms) if self._terms else None
 
     def coeff(self, r: int) -> Scalar:
-        if 0 <= r < len(self._coeffs):
-            return self._coeffs[r]
-        return ZERO
+        return self._terms.get(r, ZERO)
 
     def leading(self) -> Scalar:
-        if not self._coeffs:
+        if not self._terms:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return self._terms[self.degree]
 
     def __add__(self, other):
         if not isinstance(other, ZPoly):
             other = ZPoly.constant(other)
-        n = max(len(self._coeffs), len(other._coeffs))
-        return ZPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
+        return self._merged(other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return ZPoly([-c for c in self._coeffs])
 
     def __sub__(self, other):
         if not isinstance(other, ZPoly):
             other = ZPoly.constant(other)
-        return self + (-other)
+        return self._merged(-other)
 
     def __mul__(self, other):
         if not isinstance(other, ZPoly):
-            s = as_scalar(other)
-            return ZPoly([c * s for c in self._coeffs])
-        out = [ZERO] * (len(self._coeffs) + len(other._coeffs))
-        for i, a in enumerate(self._coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] = out[i + j] + a * b
-        return ZPoly(out)
+            return LinearCombination.__mul__(self, other)
+        out = {}
+        for i, a in self._terms.items():
+            for j, b in other._terms.items():
+                add_term(out, i + j, a * b)
+        return self._raw(out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if type(other) is int or isinstance(other, (Fraction, Scalar)):
             other = ZPoly.constant(other)
-        if not isinstance(other, ZPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
+        return LinearCombination.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(self._coeffs)
+    __hash__ = LinearCombination.__hash__
 
     def evaluate(self, point) -> Scalar:
         point = as_scalar(point)
         total = ZERO
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coeffs):
             total = total * point + c
         return total
 
     def specialize(self, spec: "PsiSpec") -> "ZPoly":
         """Substitute the type values of spec into every coefficient."""
-        return ZPoly([c.specialize(spec) for c in self._coeffs])
+        return ZPoly([c.specialize(spec) for c in self.coeffs])
 
     def monic(self) -> "ZPoly":
         """Divide by the leading coefficient, which must be a nonzero rational."""
@@ -555,27 +535,25 @@ class ZPoly:
         """Exact polynomial division for rational-coefficient polynomials."""
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
+        db = other.degree
         lead = other.leading().as_fraction()
-        rem = list(self._coeffs)
-        dq = len(rem) - len(other._coeffs)
-        if dq < 0:
+        if not self or self.degree < db:
             return ZPoly(), self
-        quot = [ZERO] * (dq + 1)
-        for i in range(dq, -1, -1):
-            top = rem[i + len(other._coeffs) - 1]
+        rem = dict(self._terms)
+        quot = {}
+        for i in range(self.degree - db, -1, -1):
+            top = rem.get(i + db)
+            if top is None:
+                continue
             factor = Scalar.rational(top.as_fraction() / lead)
             quot[i] = factor
-            if factor:
-                for j, b in enumerate(other._coeffs):
-                    rem[i + j] = rem[i + j] - factor * b
-        return ZPoly(quot), ZPoly(rem)
+            for j, b in other._terms.items():
+                add_term(rem, i + j, -(factor * b))
+        return self._raw(quot), self._raw(rem)
 
     def __str__(self):
         parts = []
-        for r in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[r]
-            if not c:
-                continue
+        for r, c in sorted(self._terms.items(), reverse=True):
             if r == 0:
                 zpart = ""
             elif r == 1:
@@ -599,11 +577,8 @@ class ZPoly:
             parts.append(body)
         return join_signed(parts)
 
-    def __repr__(self):
-        return "ZPoly(%s)" % self
-
     def to_json(self) -> dict:
-        return {"coeffs": [c.to_json() for c in self._coeffs]}
+        return {"coeffs": [c.to_json() for c in self.coeffs]}
 
     @staticmethod
     def from_json(data: dict) -> "ZPoly":

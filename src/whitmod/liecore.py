@@ -160,7 +160,7 @@ def bracket(x: LieElt, y: LieElt) -> LieElt:
             c = ca * cb
             for key, scale in generator_bracket((i, a), (j, b)).items():
                 add_term(out, key, c * scale)
-    return x._like(out)
+    return x._raw(out)
 
 
 def psi_eval(x: LieElt, psi: PsiSpec = SYMBOLIC) -> Scalar:

@@ -75,7 +75,6 @@ from .wmod import (
     ZeroVector,
     NonDescent,
     _monomial_key,
-    _raw_vector,
     act,
     in_filtration,
     weight_box,
@@ -380,7 +379,7 @@ class _SliceOperators:
         if img is None:
             inside, outside = {}, {}
             index, outer = self.index, self._outer
-            v = _raw_vector({self.monos[j]: ONE})
+            v = ModuleVector._raw({self.monos[j]: ONE})
             for m, c in act(self.ops[o], v, self._spec)._terms.items():
                 col = index.get(m)
                 if col is not None:
@@ -460,7 +459,7 @@ def whittaker_space(trunc: Truncation, spec: PsiSpec):
         terms = {}
         for col, q in vec.items():
             terms[table.monos[col]] = Scalar.rational(q)
-        space.append(_raw_vector(terms))
+        space.append(ModuleVector._raw(terms))
     return space
 
 
@@ -614,7 +613,7 @@ def quotient_project(v: ModuleVector, a) -> ModuleVector:
             mono = BasisMonomial(mono.lam, mono.mu, mono.k, 0)
         if c:
             add_term(terms, mono, c)
-    return _raw_vector(terms)
+    return ModuleVector._raw(terms)
 
 
 def quotient_act(x, v: ModuleVector, a, spec: PsiSpec = SYMBOLIC) -> ModuleVector:
@@ -666,8 +665,8 @@ def _slice_span(seeds, trunc: Truncation, spec: PsiSpec):
             new = echelon.insert(row)
             if new is not None:
                 queue.append(row)
-                spanned.append(_raw_vector({monos[c]: Scalar.rational(q)
-                                            for c, q in new.items()}))
+                spanned.append(ModuleVector._raw({monos[c]: Scalar.rational(q)
+                                                  for c, q in new.items()}))
         if not queue:
             return spanned
         cur = queue.pop()

@@ -4,7 +4,9 @@ Basis vectors are x_{lambda,mu,k} z^r w: a product of weight-negative
 d_1 factors prescribed by lambda, weight-negative d_2 factors prescribed
 by mu, k copies of h2 = d_2(0,0) and r copies of z = d_1(0,0), applied to
 the cyclic vector w.  A ModuleVector is a finite Scalar-combination of
-those, built on coeff.LinearCombination like Scalar and LieElt.
+those, built on coeff.LinearCombination like Scalar, ZPoly and LieElt;
+by_triple and from_triples regroup its terms into {triple: ZPoly} and
+back, through the unchecked builder _raw.
 BasisMonomial.of is the one checked builder of a monomial from caller
 data, for basis_vector and from_json alike; the engine builds the
 NamedTuple directly from data that is already clean.
@@ -150,18 +152,16 @@ class ModuleVector(LinearCombination):
         grouped = {}
         for mono, c in self._terms.items():
             grouped.setdefault(mono.triple, {})[mono.r] = c
-        return {t: ZPoly([rs.get(r, ZERO) for r in range(max(rs) + 1)])
-                for t, rs in grouped.items()}
+        return {t: ZPoly._raw(rs) for t, rs in grouped.items()}
 
     @staticmethod
     def from_triples(polys) -> "ModuleVector":
         """The vector sum of poly(z) x_t w over a {triple: z-polynomial} dict."""
         terms = {}
         for t, poly in polys.items():
-            for r, c in enumerate(poly.coeffs):
-                if c:
-                    terms[BasisMonomial(t.lam, t.mu, t.k, r)] = c
-        return _raw_vector(terms)
+            for r, c in poly._terms.items():
+                terms[BasisMonomial(t.lam, t.mu, t.k, r)] = c
+        return ModuleVector._raw(terms)
 
     def __len__(self):
         return len(self._terms)
@@ -184,12 +184,6 @@ class ModuleVector(LinearCombination):
     def from_json(data) -> "ModuleVector":
         return ModuleVector([(BasisMonomial.from_json(t), Scalar.from_json(t["coeff"]))
                              for t in data["terms"]])
-
-
-def _raw_vector(terms: dict) -> ModuleVector:
-    v = object.__new__(ModuleVector)
-    v._terms = terms
-    return v
 
 
 def basis_vector(lam=EMPTY, mu=EMPTY, k: int = 0, r: int = 0, coeff=1) -> ModuleVector:
@@ -302,7 +296,7 @@ def act(x: LieElt, v: ModuleVector, psi: PsiSpec = SYMBOLIC) -> ModuleVector:
             c = _mul(cx, cv)
             for wd, cm in image.items():
                 add_term(words, wd, _mul(c, cm))
-    return _raw_vector({_monomial_of_sorted(wd): c for wd, c in words.items()})
+    return ModuleVector._raw({_monomial_of_sorted(wd): c for wd, c in words.items()})
 
 
 def act_word(word, v: ModuleVector, psi: PsiSpec = SYMBOLIC) -> ModuleVector:
