@@ -27,9 +27,14 @@ Python's bound on int digits (4300 by default); outputs are printed
 exactly, at any size.  Operators are of the rank-two algebra: a JSON
 operator whose weight is not two integers is malformed input.
 
+Every command but ``bracket`` takes ``--psi``; every command takes
+``--format``.
+
 Exit codes: 0 success, 1 verification or probe failure, 2 malformed
 input, 3 singular (zero or unspecialized where values are needed) type,
-4 internal invariant violation.
+4 internal invariant violation, 141 standard output closed before all
+of it was written (128 + SIGPIPE, the code a shell gives a process the
+signal ends; nothing is printed to stderr).
 """
 
 import argparse
@@ -63,6 +68,7 @@ EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_SINGULAR = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141
 
 
 def _psi_of(args):
@@ -284,9 +290,13 @@ def _cmd_verify(args):
     return EXIT_MISMATCH if failures else EXIT_OK
 
 
-def _add_common(sp):
+def _add_format(sp):
     sp.add_argument("--format", choices=("text", "json"), default="text",
                     help="output format (default text)")
+
+
+def _add_common(sp):
+    _add_format(sp)
     sp.add_argument("--psi", default=None,
                     help="type values p1,p2,p3 (rationals) or 'symbolic'; "
                          "falls back to the WHIT_PSI environment variable")
@@ -316,7 +326,7 @@ def build_parser():
     sp = sub.add_parser("bracket", help="bracket of two Lie elements")
     sp.add_argument("x")
     sp.add_argument("y")
-    _add_common(sp)
+    _add_format(sp)
     sp.set_defaults(func=_cmd_bracket)
 
     sp = sub.add_parser("act", help="act by a Lie element on a vector")
@@ -375,11 +385,30 @@ def build_parser():
     return parser
 
 
+def _discard_stdout():
+    """Point the process's standard output at os.devnull, so that the
+    interpreter's last flush of what is still buffered for the closed
+    reader succeeds instead of reporting a second BrokenPipeError.  An
+    in-memory stream has no descriptor and is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     digits = sys.get_int_max_str_digits()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_PIPE
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return EXIT_PARSE

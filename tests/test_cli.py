@@ -1,4 +1,7 @@
+import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -25,6 +28,13 @@ def test_bracket_text(capsys):
     code, out, _ = run(capsys, "bracket", "d1(0,1)", "d2(0,-1)")
     assert code == 0
     assert parse_lie(out.strip()) == bracket(d(1, (0, 1)), d(2, (0, -1)))
+
+
+def test_bracket_takes_no_psi(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bracket", "d1(0,1)", "d2(0,-1)", "--psi", "garbage"])
+    assert exc.value.code == 2
+    assert "--psi" in capsys.readouterr().err
 
 
 def test_bracket_json(capsys):
@@ -411,3 +421,36 @@ def test_main_restores_the_digit_bound(capsys, argv):
     before = sys.get_int_max_str_digits()
     run(capsys, *argv)
     assert sys.get_int_max_str_digits() == before
+
+
+class _ClosedPipe(io.StringIO):
+    """An in-memory stdout whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bracket", "d1(0,1)", "d2(0,-1)"],
+    ["verify", "all", "--random", "1"],
+], ids=["bracket", "verify"])
+def test_closed_stdout_exits_141_in_process(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_exits_141_through_a_pipe():
+    # about 129 KB of output, more than a pipe and the stdout buffer hold
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "whitmod.cli", "verify", "all",
+                             "--random", "300", "--seed", "7"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()  # what `| head -1` does once it has its line
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert first.startswith("3.10 ")
+    assert err == ""
