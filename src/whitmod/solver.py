@@ -1044,6 +1044,14 @@ def _sprinkle(rng, parts, top, keep=None, tries=6):
         parts[t] = _rand_poly(rng)
 
 
+def _add_same_level(rng, parts, top, n):
+    """Add up to two pure-lambda triples of weight sum (0, n) below top."""
+    for _ in range(rng.randint(0, 2)):
+        t = Triple(_int_partition(rng, n), EMPTY, 0)
+        if t not in parts and triple_prec(t, top):
+            parts[t] = _rand_poly(rng)
+
+
 def random_instance(ident, rng) -> LemmaInstance:
     """A random valid instance of the rule, junk terms included."""
     if ident == "3.5":
@@ -1096,11 +1104,7 @@ def random_instance(ident, rng) -> LemmaInstance:
 
     if ident == "3.10":
         # same-level company is allowed, the next level down must be empty
-        for _ in range(rng.randint(0, 2)):
-            other = _int_partition(rng, n)
-            t = Triple(other, EMPTY, 0)
-            if t not in parts and triple_prec(t, top):
-                parts[t] = _rand_poly(rng)
+        _add_same_level(rng, parts, top, n)
         _sprinkle(rng, parts, top, keep=below_lower)
         return LemmaInstance("3.10", ModuleVector.from_triples(parts))
 
@@ -1118,11 +1122,7 @@ def random_instance(ident, rng) -> LemmaInstance:
     else:
         lower = Triple(_int_partition(rng, n - 1), EMPTY, 0)
     parts[lower] = _rand_poly(rng)
-    for _ in range(rng.randint(0, 2)):
-        other = _int_partition(rng, n)
-        t = Triple(other, EMPTY, 0)
-        if t not in parts and triple_prec(t, top):
-            parts[t] = _rand_poly(rng)
+    _add_same_level(rng, parts, top, n)
     _sprinkle(rng, parts, top,
               keep=lambda t: below_lower(t) or
               (t.weight_sum() == (0, n - 1) and triple_prec(t, lower)))
