@@ -1,7 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from whitmod.coeff import (
     Scalar,
@@ -16,6 +19,7 @@ from whitmod.coeff import (
     S2,
     S3,
 )
+from whitmod.wmod import BasisMonomial, ModuleVector
 
 
 def test_scalar_basic_arithmetic():
@@ -147,3 +151,75 @@ def test_zpoly_json_round_trip():
     p = ZPoly([S1 - ONE, ZERO, 3 * S2])
     assert ZPoly.from_json(p.to_json()) == p
     assert ZPoly.from_json(ZPoly().to_json()) == ZPoly()
+
+
+# Sparse ZPoly against dense lists of Fractions: many drawn coefficients
+# are zero, so the lists have interior zeros, and the empty and all-zero
+# lists give the zero polynomial.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+RATIONALS = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-9, max_value=9, max_denominator=4))
+DENSE = st.lists(RATIONALS, max_size=6)
+
+
+def _stripped(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _value(coeffs, x):
+    return sum((c * x ** i for i, c in enumerate(coeffs)), Fraction(0))
+
+
+@PROPERTY
+@given(DENSE, DENSE, RATIONALS)
+def test_zpoly_ring_operations_agree_with_evaluation(ca, cb, x):
+    a, b = ZPoly(ca), ZPoly(cb)
+    va, vb = _value(ca, x), _value(cb, x)
+    for poly, value in ((a, va), (a + b, va + vb), (a - b, va - vb), (a * b, va * vb)):
+        assert poly.evaluate(x).as_fraction() == value
+
+
+@PROPERTY
+@given(DENSE, DENSE)
+def test_zpoly_division_identity(ca, cb):
+    assume(any(cb))
+    a, b = ZPoly(ca), ZPoly(cb)
+    q, r = a.divmod_by(b)
+    assert q * b + r == a
+    assert r.degree is None or r.degree < b.degree
+
+
+@PROPERTY
+@given(DENSE)
+def test_zpoly_dense_coeffs_and_json(ca):
+    a = ZPoly(ca)
+    dense = _stripped(ca)
+    assert [c.as_fraction() for c in a.coeffs] == dense
+    assert a.degree == (len(dense) - 1 if dense else None)
+    assert bool(a) == bool(dense)
+    assert ZPoly.from_json(json.loads(json.dumps(a.to_json()))) == a
+
+
+ENTRIES = [(0, 1), (0, 2), (1, -1)]
+MONOMIALS = st.builds(
+    BasisMonomial.of,
+    st.lists(st.sampled_from(ENTRIES), max_size=2),
+    st.lists(st.sampled_from(ENTRIES), max_size=1),
+    st.integers(0, 2),
+    st.integers(0, 3),
+)
+COEFFICIENTS = st.one_of(RATIONALS, RATIONALS.map(lambda q: q * S1 - S3))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(MONOMIALS, COEFFICIENTS), max_size=8))
+def test_vector_triple_round_trip(pairs):
+    v = ModuleVector(pairs)
+    polys = v.by_triple()
+    assert all(polys.values())
+    for mono, c in v.terms():
+        assert polys[mono.triple].coeff(mono.r) == c
+    assert ModuleVector.from_triples(polys) == v

@@ -47,7 +47,8 @@ def test_str_and_repr(value, text, rep):
     S1 + 2,
     d(2, (1, -1), S3),
     basis_vector([(0, 1)], (), 1, 0, S2),
-], ids=["scalar", "lie", "vector"])
+    ZPoly([1, S1, 0, 2]),
+], ids=["scalar", "lie", "vector", "zpoly"])
 def test_arithmetic_keeps_the_class(x):
     for y in (-x, x + x, x - x, 0 * x):
         assert type(y) is type(x)
