@@ -8,7 +8,8 @@ constructor is the one check of entries, JSON ones included: each is a
 list or tuple of exactly two ints, never rounded.  A Partition equals a
 plain tuple of the same entries; the orders below go through sort keys
 only.  Partitions sit in the keys of module vectors, whose
-linear-combination base is coeff.LinearCombination.
+linear-combination base is coeff.LinearCombination, the base of all
+four value types.
 
 Two total orders on partitions are provided.  partition_lt compares
 multiplicities at the lex-least weight where they differ; partition_prec
