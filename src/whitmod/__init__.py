@@ -58,7 +58,6 @@ from .wmod import (
     ZeroVector,
     NonDescent,
     BasisMonomial,
-    MONOMIAL_W,
     ModuleVector,
     basis_vector,
     w_vector,
@@ -69,7 +68,6 @@ from .wmod import (
     in_filtration,
     WhittakerCheck,
     weight_box,
-    default_weight_box,
     is_whittaker,
 )
 from .textio import (

@@ -412,10 +412,6 @@ class PsiSpec:
         raise AttributeError("PsiSpec is immutable")
 
     @staticmethod
-    def symbolic() -> "PsiSpec":
-        return SYMBOLIC
-
-    @staticmethod
     def of(p1, p2, p3) -> "PsiSpec":
         return PsiSpec((p1, p2, p3))
 
@@ -454,16 +450,14 @@ class ZPoly(LinearCombination):
     ZPoly(coeffs) takes the dense list c0, c1, ... and coeffs gives it
     back without trailing zeros.  The zero polynomial has degree None;
     that keeps degree comparisons honest instead of smuggling in a fake -1.
+    Sums take an int, a Fraction or a Scalar as a constant polynomial,
+    but equality and hashing are the base's: a ZPoly equals only a ZPoly.
     """
 
     __slots__ = ()
 
     def __init__(self, coeffs=()):
         super().__init__(enumerate(coeffs))
-
-    @staticmethod
-    def constant(c) -> "ZPoly":
-        return ZPoly([c])
 
     @staticmethod
     def z() -> "ZPoly":
@@ -487,14 +481,14 @@ class ZPoly(LinearCombination):
 
     def __add__(self, other):
         if not isinstance(other, ZPoly):
-            other = ZPoly.constant(other)
+            other = ZPoly([other])
         return self._merged(other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, ZPoly):
-            other = ZPoly.constant(other)
+            other = ZPoly([other])
         return self._merged(-other)
 
     def __mul__(self, other):
@@ -507,13 +501,6 @@ class ZPoly(LinearCombination):
         return self._raw(out)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if type(other) is int or isinstance(other, (Fraction, Scalar)):
-            other = ZPoly.constant(other)
-        return LinearCombination.__eq__(self, other)
-
-    __hash__ = LinearCombination.__hash__
 
     def evaluate(self, point) -> Scalar:
         point = as_scalar(point)

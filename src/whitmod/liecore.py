@@ -99,9 +99,6 @@ class LieElt(LinearCombination):
             for (i, alpha) in sorted(self._terms, key=lambda key: (key[1], key[0]))
         ]
 
-    def bracket(self, other: "LieElt") -> "LieElt":
-        return bracket(self, other)
-
     def __str__(self):
         return join_signed([attach_coefficient(coeff, format_generator(i, alpha))
                             for i, alpha, coeff in self.terms()])

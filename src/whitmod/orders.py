@@ -4,8 +4,8 @@ A Partition is a finite multiset of lex-positive rank-two weights: a
 tuple subclass holding its entries non-decreasing (tuple comparison is the
 lex order, so plain sorting does the right thing).  Entries like (1, -2)
 are legal: positivity is lexicographic, not coordinatewise.  The
-constructor is the one check of entries, JSON ones included: each is a
-list or tuple of exactly two ints, never rounded.  A Partition equals a
+constructor is the one check of entries and the one reader of their
+JSON: each is a list or tuple of exactly two ints, never rounded.  A Partition equals a
 plain tuple of the same entries; the orders below go through sort keys
 only.  Partitions sit in the keys of module vectors, whose
 linear-combination base is coeff.LinearCombination, the base of all
@@ -54,11 +54,6 @@ class Partition(tuple):
         clean.sort()
         return super().__new__(cls, clean)
 
-    @property
-    def entries(self):
-        """The entries as a plain tuple."""
-        return tuple(self)
-
     def weight_sum(self) -> Weight:
         total = ZERO_WEIGHT
         for entry in self:
@@ -100,10 +95,6 @@ class Partition(tuple):
 
     def to_json(self) -> list:
         return [list(e) for e in self]
-
-    @staticmethod
-    def from_json(data) -> "Partition":
-        return Partition(data)
 
 
 EMPTY = Partition()

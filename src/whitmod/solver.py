@@ -7,9 +7,10 @@ This module bundles the computations that sit above raw straightening:
   its type value", and returns a basis of the solution space.
 * ``reduce_to_whittaker`` drives an arbitrary nonzero vector down the
   degree filtration to a plain z-polynomial times w, recording every
-  operator application in a replayable transcript.  Each step applies
-  the rule of ``RULES`` that ``_rule_at`` picks by one case split on
-  the degree triple and the next-lower weight level.
+  operator application in a replayable transcript, the tuple of its
+  ``ReductionStep``s.  Each step applies the rule of ``RULES`` that
+  ``_rule_at`` picks by one case split on the degree triple and the
+  next-lower weight level.
 * ``quotient_act`` / ``simplicity_probe`` work in the quotient where z
   acts by a fixed rational a; the probe certifies that a vector still
   generates the cyclic vector.
@@ -477,9 +478,6 @@ class ReductionStep(NamedTuple):
     exponent: int
     degree_after: Triple
 
-    def operator(self):
-        return d(self.i, self.alpha)
-
     def to_json(self) -> dict:
         return {
             "rule": self.rule,
@@ -490,21 +488,15 @@ class ReductionStep(NamedTuple):
         }
 
 
-class ReductionTranscript:
-    """The operator applications of one reduction run, replayable."""
+class ReductionTranscript(tuple):
+    """The ReductionSteps of one reduction run, in order, replayable."""
 
-    def __init__(self, steps=()):
-        self._steps = tuple(steps)
+    __slots__ = ()
 
     @property
     def steps(self):
-        return self._steps
-
-    def __len__(self):
-        return len(self._steps)
-
-    def __iter__(self):
-        return iter(self._steps)
+        """The steps as a plain tuple."""
+        return tuple(self)
 
     def replay(self, v: ModuleVector, psi: PsiSpec = SYMBOLIC, a=None) -> ModuleVector:
         """Re-apply the recorded operators to v and return the result.
@@ -513,12 +505,12 @@ class ReductionTranscript:
         matching a quotient-mode run.
         """
         cur = quotient_project(v, a) if a is not None else v
-        for step in self._steps:
-            cur = _apply_step(cur, step.operator(), step.psi_value, step.exponent, psi, a)
+        for step in self:
+            cur = _apply_step(cur, d(step.i, step.alpha), step.psi_value, step.exponent, psi, a)
         return cur
 
     def to_json(self) -> dict:
-        return {"steps": [s.to_json() for s in self._steps]}
+        return {"steps": [s.to_json() for s in self]}
 
 
 def _apply_step(v: ModuleVector, gen, pv: Scalar, exponent: int, psi: PsiSpec, a):

@@ -123,9 +123,6 @@ class BasisMonomial(NamedTuple):
         return mono
 
 
-MONOMIAL_W = BasisMonomial(EMPTY, EMPTY, 0, 0)
-
-
 def _monomial_key(m: BasisMonomial) -> tuple:
     """Canonical order of basis monomials: the triple order, then r."""
     return (triple_key(m.triple), m.r)
@@ -334,18 +331,6 @@ class WhittakerCheck(NamedTuple):
         return self.passed
 
 
-def default_weight_box(v: ModuleVector):
-    """Finite family of positive weights to test v against, sized from v.
-
-    Budgets come from component totals across the support: M1 sums the
-    first components of the weight sums, M2 the absolute second
-    components.  The box always contains (0,1) and (0,2).
-    """
-    m1 = sum(m.triple.weight_sum()[0] for m in v._terms) if v else 0
-    m2 = sum(abs(m.triple.weight_sum()[1]) for m in v._terms) if v else 0
-    return weight_box(m1 + 3, m2 + 3)
-
-
 def weight_box(max_first: int, max_abs_second: int):
     """All lex-positive weights (a1, a2) with 0 <= a1 <= max_first, |a2| <= max_abs_second."""
     out = []
@@ -361,12 +346,15 @@ def is_whittaker(v: ModuleVector, psi: PsiSpec = SYMBOLIC, box=None) -> Whittake
 
     Checks the defect act(d_i(alpha), v) - psi(d_i(alpha)) * v over the
     sample box only, so a refutation is exact but a pass is evidence, not
-    proof: no bound is proven that makes the derived default (see
-    default_weight_box) cover every positive generator.  A refutation
-    returns the first witness in scan order: alpha ascending lex, then i.
+    proof.  The default box is weight_box(M1 + 3, M2 + 3), with M1 and M2
+    the totals over the support of v of its weight sums' first and
+    absolute second components; no bound is proven that makes it cover
+    every positive generator.  A refutation returns the first witness in
+    scan order: alpha ascending lex, then i.
     """
     if box is None:
-        box = default_weight_box(v)
+        sums = [m.triple.weight_sum() for m in v._terms]
+        box = weight_box(sum(s[0] for s in sums) + 3, sum(abs(s[1]) for s in sums) + 3)
     for alpha in sorted(box):
         if not is_positive(alpha):
             raise ValueError("sample box weights must be lex-positive, got %r" % (alpha,))

@@ -82,7 +82,7 @@ def rand_triple(rng):
 
 def test_partition_basics():
     p = Partition([(1, -2), (0, 1), (0, 1)])
-    assert p.entries == ((0, 1), (0, 1), (1, -2))  # stored sorted
+    assert tuple(p) == ((0, 1), (0, 1), (1, -2))  # stored sorted
     assert len(p) == 3
     assert p.multiplicity((0, 1)) == 2
     assert p.support() == ((0, 1), (1, -2))
@@ -201,7 +201,7 @@ def test_triple_max():
 
 def test_json_round_trips():
     p = Partition([(0, 1), (1, -2), (1, -2)])
-    assert Partition.from_json(p.to_json()) == p
+    assert Partition(p.to_json()) == p
     t = Triple(p, Partition([(0, 3)]), 2)
     assert Triple.from_json(t.to_json()) == t
 
