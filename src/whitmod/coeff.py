@@ -171,8 +171,9 @@ class Scalar(LinearCombination):
     """Sparse polynomial in s1, s2, s3 over Q.
 
     Keys are exponent triples (e1, e2, e3), coefficients nonzero Fractions.
-    Arithmetic accepts ints and Fractions as constant polynomials, and
-    the product is the ring product.
+    Arithmetic and equality accept ints and Fractions as constant
+    polynomials, and a rational Scalar hashes as its Fraction; the
+    product is the ring product.
     """
 
     __slots__ = ()
@@ -268,7 +269,11 @@ class Scalar(LinearCombination):
             return NotImplemented
         return self._terms == other._terms
 
-    __hash__ = LinearCombination.__hash__
+    def __hash__(self):
+        # a rational Scalar equals its Fraction, so it hashes as one
+        if self.is_rational():
+            return hash(self._terms.get((0, 0, 0), 0))
+        return LinearCombination.__hash__(self)
 
     def specialize(self, spec: "PsiSpec") -> "Scalar":
         """Substitute the spec's rational values for s1, s2, s3.

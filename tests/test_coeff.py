@@ -89,6 +89,16 @@ def test_psi_spec_validation():
     assert str(SYMBOLIC) == "symbolic"
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: PsiSpec((1, 2)), ValueError, "exactly three values"),
+    (lambda: ZPoly().leading(), ValueError, "no leading coefficient"),
+    (lambda: ZPoly([1]).divmod_by(ZPoly()), ZeroDivisionError, "zero polynomial"),
+], ids=["psi-arity", "zero-poly-leading", "zero-poly-divisor"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_zpoly_shape():
     p = ZPoly([1, 0, 2])
     assert p.degree == 2
@@ -201,6 +211,25 @@ def test_zpoly_dense_coeffs_and_json(ca):
     assert a.degree == (len(dense) - 1 if dense else None)
     assert bool(a) == bool(dense)
     assert ZPoly.from_json(json.loads(json.dumps(a.to_json()))) == a
+
+
+def _values_near(q):
+    """Values of each type that the package may compare with the rational q."""
+    out = [q, Scalar.rational(q), q * S1 - S3, ZPoly([q]), ZPoly([0, q])]
+    if q.denominator == 1:
+        out.append(int(q))
+    return out
+
+
+@PROPERTY
+@given(st.one_of(RATIONALS, st.integers(-9, 9).map(Fraction)), RATIONALS)
+def test_equal_values_hash_equal(p, q):
+    values = _values_near(p) + _values_near(q)
+    for a in values:
+        for b in values:
+            assert (a == b) == (b == a), (a, b)
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
 
 
 ENTRIES = [(0, 1), (0, 2), (1, -1)]
