@@ -15,8 +15,6 @@ exactly two ints.
 
 from __future__ import annotations
 
-import operator
-
 from .coeff import (
     ONE, LinearCombination, PsiSpec, SYMBOLIC, Scalar, ZERO, add_term, attach_coefficient,
     exact_int, join_signed,
@@ -51,10 +49,10 @@ def weight_cmp(a: Weight, b: Weight) -> int:
 
 
 def weight_add(a: Weight, b: Weight) -> Weight:
-    return tuple(map(operator.add, a, b))
+    return (a[0] + b[0], a[1] + b[1])
 
 def weight_neg(a: Weight) -> Weight:
-    return tuple(-x for x in a)
+    return (-a[0], -a[1])
 
 def is_positive(a: Weight) -> bool:
     return a > ZERO_WEIGHT
