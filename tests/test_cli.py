@@ -344,6 +344,9 @@ MALFORMED = {
     "underscore-json": ["nf", _fraction_json("3", "1_0")],
     "spaces-json": ["nf", _fraction_json(" 3 ", "1")],
     "plus-sign-json": ["nf", _fraction_json("3", "+1")],
+    "empty-entry-pool": ["wvectors", "--cap", "0,2", "--entries", ";", "--kmax", "0",
+                         "--rmax", "0", "--psi", "1,2,3"],
+    "zero-denominator-text": ["nf", "1/0 * w"],
 }
 
 

@@ -2,7 +2,7 @@
 
 Demo 02 prints straighten_word output, so this pins the engine's text.
 Demo 03 prints its wall times as "(N.NNs)"; those are masked on both
-sides before comparing.  Demo 05 is left out: it takes many seconds.
+sides before comparing.
 """
 
 import os
@@ -19,6 +19,7 @@ DEMOS = {
     "02": "02_module_action.py",
     "03": "03_whittaker_vectors.py",
     "04": "04_reduction_transcript.py",
+    "05": "05_quotient_and_ideal.py",
 }
 WALL_TIME = re.compile(r"\(\d+\.\d\ds\)")
 
