@@ -5,11 +5,11 @@ tuple subclass holding its entries non-decreasing (tuple comparison is the
 lex order, so plain sorting does the right thing).  Entries like (1, -2)
 are legal: positivity is lexicographic, not coordinatewise.  The
 constructor is the one check of entries and the one reader of their
-JSON: each is a list or tuple of exactly two ints, never rounded.  A Partition equals a
-plain tuple of the same entries; the orders below go through sort keys
-only.  Partitions sit in the keys of module vectors, whose
-linear-combination base is coeff.LinearCombination, the base of all
-four value types.
+JSON: each is a list or tuple of exactly two ints, never rounded.  A
+Partition equals a plain tuple of the same entries; the orders below go
+through sort keys only.  Partitions sit in the keys of module vectors,
+whose linear-combination base is coeff.LinearCombination, the base of
+all four value types.
 
 Two total orders on partitions are provided.  partition_lt compares
 multiplicities at the lex-least weight where they differ; partition_prec
