@@ -190,12 +190,14 @@ class Truncation:
         return all(self.contains(mono) for mono in v._terms)
 
     def induced_box(self):
-        """Positive weights large enough to refute any non-Whittaker slice vector.
+        """The positive weights of the slice span's raising operators.
 
         First components of a monomial's entries total at most cap[0];
         second components are bounded through lmax (or through cap[1]
-        when only (0, m) entries fit).  The margin of 3 covers the
-        (0,2)-shifts the congruence operators introduce.
+        when only (0, m) entries fit).  The margin of 3 is no proven
+        bound for the span.  It covers the (0,1)- and (0,2)-shifts of
+        single entries that the congruence rules name, so the box holds
+        every operator whittaker_space applies (see _rule_operators).
         """
         usable = [e for e in self.entries if e <= self.cap]
         m1 = self.cap[0]
@@ -346,7 +348,9 @@ class _SliceOperators:
     ``monos`` is the slice basis in canonical order and ``index`` maps a
     monomial to its column.  ``ops`` holds the operators: first the
     ``raising`` ones d_i(alpha) for alpha in the induced box, then the
-    lowering d_i(-e) for e in the entry pool, then h2 and z.
+    lowering d_i(-e) for e in the entry pool, then h2 and z.  The slice
+    span applies all of them; whittaker_space applies only the raising
+    ones that a rule names.
 
     ``image(o, j)`` is ops[o] applied to monos[j] as a pair of rows
     {column: coefficient}: the part inside the slice, and the part
@@ -359,8 +363,9 @@ class _SliceOperators:
     This table is the only memo of module images (act caches nothing).
     Tables come from _slice_table, which keeps the last one, so
     back-to-back calls on one slice and type share it: at most
-    len(ops) * len(monos) images are held, and they are released when a
-    call on another slice or type replaces the table.
+    len(ops) * len(monos) images are held (after whittaker_space alone,
+    only those of the operators it applies), and they are released when
+    a call on another slice or type replaces the table.
     """
 
     def __init__(self, trunc: Truncation, spec: PsiSpec):
@@ -428,11 +433,20 @@ def whittaker_space(trunc: Truncation, spec: PsiSpec):
     """Basis of the truncated space of vectors on which every positive
     generator acts by its type value.
 
-    Assembles the defect of every operator in the induced box against
-    every slice basis vector and returns the exact nullspace, one
-    ModuleVector per free column, in canonical basis order.  Always
-    contains the pure z-polynomial vectors z^r w; containing nothing
-    else is the desk-scale content of the classification.
+    Assembles the defect of every operator that a rule names at the
+    slice (_rule_operators) against every slice basis vector and returns
+    the exact nullspace, one ModuleVector per free column, in canonical
+    basis order.  Always contains the pure z-polynomial vectors z^r w;
+    containing nothing else is the desk-scale content of the
+    classification.
+
+    Those operators suffice.  They are positive, so every Whittaker
+    vector lies in the nullspace, and they annihilate the part in C[z]w
+    of any slice vector.  What is left of a vector outside C[z]w has its
+    degree above TRIPLE_MIN, and the operator _rule_at names there does
+    not annihilate it (verify_lemma and the reduction's NonDescent guard
+    check those congruences).  So the nullspace is C[z]w within the
+    slice, as over any larger set of positive operators.
 
     The defect rows are eliminated sparsest first (Markowitz's ordering
     in its simplest form), which keeps fill-in low.  The reduced echelon
@@ -441,12 +455,15 @@ def whittaker_space(trunc: Truncation, spec: PsiSpec):
     if spec.is_symbolic():
         raise SingularPsi("whittaker_space needs a specialized nonsingular type")
     table = _slice_table(trunc, spec)
-    values = [_exact(psi_eval(x, spec)) for x in table.ops[:table.raising]]
+    # the box holds every operator a rule names (see induced_box)
+    box = {x.terms()[0][:2]: o for o, x in enumerate(table.ops[:table.raising])}
+    named = sorted(box[key] for key in _rule_operators(table.monos))
+    values = [_exact(psi_eval(table.ops[o], spec)) for o in named]
     # rows[(o, col)][j]: coefficient of the table's column col in
     # (x - psi(x)) monos[j] for x = ops[o]
     rows = {}
     for j in range(len(table.monos)):
-        for o, value in enumerate(values):
+        for o, value in zip(named, values):
             for part in table.image(o, j):
                 for col, c in part.items():
                     rows.setdefault((o, col), {})[j] = c
@@ -863,6 +880,42 @@ RULES = {
          "empty-lower-level rule",),
         lambda coefficient: (coefficient[0], 2)),
 }
+
+
+def _rule_operators(monos):
+    """The operators (i, alpha) that RULES name at the vectors spanned by monos.
+
+    A statement reads the degree triple and the largest triple one level
+    below it, and any two triples of monos, the second one level below
+    the first, are that data for their sum.  For a slice basis the set is
+    therefore exactly:
+
+    * d2(TWO_EPS2) when some k is positive (3.7);
+    * for each entry e of a monomial, d2(e + TWO_EPS2) (3.8.2, 3.9), and
+      d1(e + TWO_EPS2) when e[0] > 0 (3.8.1), else d2(e + EPS2) (3.10,
+      3.11.3);
+    * when monomials lie at levels (0, n) and (0, n - 1) for some n:
+      d1(EPS2) when some k is positive (3.11.1), and d1(e + EPS2) for
+      each entry e of the lower level (3.11.2).
+
+    The slice is closed under taking an entry out of a monomial, so each
+    entry is the least of a one-entry lambda or mu there.
+    """
+    levels = {}
+    for m in monos:
+        levels.setdefault(m.triple.weight_sum(), set()).update(m.lam, m.mu)
+    raised = any(m.k for m in monos)
+    named = {(2, TWO_EPS2)} if raised else set()
+    for e in set().union(*levels.values()):
+        named.add((2, weight_add(e, TWO_EPS2)))
+        named.add((1, weight_add(e, TWO_EPS2)) if e[0] > 0 else (2, weight_add(e, EPS2)))
+    for a, n in levels:
+        below = levels.get((a, n - 1))
+        if a == 0 and below is not None:
+            if raised:
+                named.add((1, EPS2))
+            named.update((1, weight_add(e, EPS2)) for e in below)
+    return named
 
 
 class LemmaInstance(RuleContext):
