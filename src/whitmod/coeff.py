@@ -455,8 +455,9 @@ class ZPoly(LinearCombination):
     ZPoly(coeffs) takes the dense list c0, c1, ... and coeffs gives it
     back without trailing zeros.  The zero polynomial has degree None;
     that keeps degree comparisons honest instead of smuggling in a fake -1.
-    Sums take an int, a Fraction or a Scalar as a constant polynomial,
-    but equality and hashing are the base's: a ZPoly equals only a ZPoly.
+    Sums and differences take an int, a Fraction or a Scalar on either
+    side as a constant polynomial, but equality and hashing are the
+    base's: a ZPoly equals only a ZPoly.
     """
 
     __slots__ = ()
@@ -495,6 +496,9 @@ class ZPoly(LinearCombination):
         if not isinstance(other, ZPoly):
             other = ZPoly([other])
         return self._merged(-other)
+
+    def __rsub__(self, other):
+        return ZPoly([other])._merged(-self)
 
     def __mul__(self, other):
         if not isinstance(other, ZPoly):

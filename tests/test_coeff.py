@@ -120,6 +120,16 @@ def test_zpoly_arithmetic():
     assert q == z - 2 and not r
 
 
+@pytest.mark.parametrize("c", [3, Fraction(-1, 2), Scalar.rational(1), S1 - ONE],
+                         ids=["int", "Fraction", "Scalar", "symbolic"])
+def test_zpoly_takes_a_constant_on_either_side(c):
+    z = ZPoly.z()
+    const = ZPoly([c])
+    assert c + z == z + c == const + z
+    assert c - z == const - z == -(z - c)
+    assert z - c == z - const
+
+
 def test_zpoly_divmod_random():
     rng = random.Random(0xD17)
     z = ZPoly.z()
