@@ -360,7 +360,7 @@ class _SliceOperators:
     when integral and Fractions otherwise.  Each image is computed once,
     on first use, and kept for the life of the table.
 
-    This table is the only memo of module images (act caches nothing).
+    This table is the only memo of module images that outlives a call to act.
     Tables come from _slice_table, which keeps the last one, so
     back-to-back calls on one slice and type share it: at most
     len(ops) * len(monos) images are held (after whittaker_space alone,

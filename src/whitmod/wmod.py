@@ -32,8 +32,13 @@ engine checks that in O(1) and raises NonDescent if it ever fails, so the
 total factor count drops at every other call and the recursion ends.
 act applies each generator of a Lie element to each monomial of a
 vector through this recursion, and straighten_word is act_word on w.
-Nothing is cached here: each call straightens afresh and holds only its
-own result.  The one memo of images is the slice table of the solver
+
+z^r w is a Whittaker vector, so u w -> u z^r w is a module map and
+x . (m z^r w) is x . (m w) with z^r appended to every word (the proof is
+in act).  act therefore groups the monomials of a vector by z-free word
+m, in a dict local to the call, and straightens each m once for all its
+z-powers, holding one image at a time; nothing outlives the call.  The
+one memo of images across calls is the slice table of the solver
 (solver._SliceOperators), bounded by one slice and type.
 """
 
@@ -274,25 +279,41 @@ def _times(x, word, coeff: Scalar, psi: PsiSpec, out: dict):
 
 
 def _monomial_word(mono: BasisMonomial):
+    """The z-free word of a monomial: its lambda, mu and h2 factors, without z^r."""
     word = [(1, weight_neg(e)) for e in mono.lam]
     word += [(2, weight_neg(e)) for e in mono.mu]
     word += [(2, ZERO_WEIGHT)] * mono.k
-    word += [(1, ZERO_WEIGHT)] * mono.r
     return tuple(word)
 
 
 def act(x: LieElt, v: ModuleVector, psi: PsiSpec = SYMBOLIC) -> ModuleVector:
-    """Action of a Lie element on a module vector, fully straightened."""
+    """Action of a Lie element on a module vector, fully straightened.
+
+    The monomials of v are grouped by z-free word, and each word is
+    straightened once, with x's coefficients folded in, for all its
+    z-powers.  This is sound because z^r w is a Whittaker vector: a positive
+    d_j(b) has d_j(b) z = (z - b1) d_j(b), and psi vanishes on it unless
+    b1 = 0, so d_j(b) z^r w = (z - b1)^r psi(d_j(b)) w = psi(d_j(b)) z^r w.
+    By the universal property of W_psi, u w -> u z^r w is then a well
+    defined module map, so x . (m z^r w) is x . (m w) with z^r appended to
+    every word.  Appending keeps each word sorted: an image word holds no
+    positive factor, and z sorts after every other factor.  Pushed through
+    each z instead, a factor with b1 != 0, which brackets with z to a
+    multiple of itself, would take about 2^r calls of _times.
+    """
+    powers = {}  # z-free word -> [(r, coefficient)] of its monomials in v
+    for mono, cv in v._terms.items():
+        powers.setdefault(_monomial_word(mono), []).append((mono.r, cv))
     words = {}
-    for (i, alpha), cx in x._terms.items():
-        if cx == ONE:
-            cx = ONE  # lets _mul skip the products below
-        for mono, cv in v._terms.items():
-            image = {}
-            _times((i, alpha), _monomial_word(mono), ONE, psi, image)
-            c = _mul(cx, cv)
+    for word, terms in powers.items():
+        image = {}  # x . (word w), x's coefficients folded in
+        for g, cx in x._terms.items():
+            # ONE itself lets _mul skip the products
+            _times(g, word, ONE if cx == ONE else cx, psi, image)
+        for r, cv in terms:
+            zs = ((1, ZERO_WEIGHT),) * r
             for wd, cm in image.items():
-                add_term(words, wd, _mul(c, cm))
+                add_term(words, wd + zs, _mul(cv, cm))
     return ModuleVector._raw({_monomial_of_sorted(wd): c for wd, c in words.items()})
 
 

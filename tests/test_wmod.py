@@ -1,4 +1,6 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,74 @@ def test_straightening_matches_reference(word, psi):
     expected = reference_straighten(word, psi)
     assert straighten_word(word, psi) == expected
     assert act_word(word, w_vector(), psi) == expected
+
+
+# act straightens each z-free word once and appends z^r to its image;
+# these check that shortcut against the reference, which pushes x
+# through every z of the word.
+ENTRY_POOL = [(0, 1), (0, 2), (1, -1), (1, 0)]
+entries = st.lists(st.sampled_from(ENTRY_POOL), max_size=2)
+coefficients = st.sampled_from([1, -1, 2, Fraction(-1, 3), S1, S2 - 1])
+operators = st.one_of(
+    factors.map(lambda f: d(*f)),
+    st.tuples(factors, factors, coefficients, coefficients).map(
+        lambda t: d(*t[0], coeff=t[2]) + d(*t[1], coeff=t[3])),
+)
+
+
+def _reference_act(x, v, psi):
+    """act(x, v) summed term by term from reference_straighten."""
+    out = ModuleVector()
+    for mono, cv in v.terms():
+        word = ([(1, (-a, -b)) for a, b in mono.lam] + [(2, (-a, -b)) for a, b in mono.mu]
+                + [(2, (0, 0))] * mono.k + [(1, (0, 0))] * mono.r)
+        for i, alpha, cx in x.terms():
+            out = out + (cv * cx) * reference_straighten([(i, alpha)] + word, psi)
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(operators, entries, entries, st.integers(0, 1),
+       st.lists(st.tuples(st.integers(0, 4), coefficients), min_size=1, max_size=3),
+       st.integers(0, 4), types)
+def test_act_over_z_powers_matches_reference(x, lam, mu, k, powers, r2, psi):
+    v = sum((basis_vector(lam, mu, k, r, c) for r, c in powers), ModuleVector())
+    v = v + basis_vector(lam, mu, k + 1, r2, 3)  # a second triple
+    assert act(x, v, psi) == _reference_act(x, v, psi)
+
+
+def test_z_powers_share_one_straightening(monkeypatch):
+    calls = []
+    times = wmod._times
+
+    def counted(*args):
+        calls.append(args)
+        return times(*args)
+
+    monkeypatch.setattr(wmod, "_times", counted)
+    x = d(1, (1, 0)) + d(2, (0, 1), coeff=2)
+    lam, mu = [(1, -1)], [(0, 1)]
+    m_w = basis_vector(lam, mu, 1)
+    polynomial = m_w + basis_vector(lam, mu, 1, 1, 2) + basis_vector(lam, mu, 1, 3, 3)
+    counts = []
+    for v in (m_w, polynomial):
+        calls.clear()
+        assert act(x, v, PSI123) == _reference_act(x, v, PSI123)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_long_z_run_is_one_straightening(capsys):
+    # a positive factor with first weight component nonzero brackets with
+    # z to a multiple of itself, so pushing it through each z of z^r
+    # would take about 2^r calls of _times
+    start = time.perf_counter()
+    assert not act(d(2, (1, 0)), basis_vector(mu=[(0, 1)], r=400), PSI123)
+    assert time.perf_counter() - start < 2.0
+    start = time.perf_counter()
+    assert main(["act", "d1(1,0)", "z^400 w", "--psi", "1,2,3"]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_descent_guard(monkeypatch, capsys):
